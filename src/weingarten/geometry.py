@@ -380,7 +380,7 @@ def support_from_r1(p: RoCProfile, anchor_angle, anchor_value: float) -> Support
     sing = np.sin(grid)
     r = p.r1 - cosg * (c0 + integral)
     rdot = sing * (c0 + integral)
-    gvals = np.array([g(float(u)) for u in grid])
+    gvals = (p.r2 - p.r1) / sing
     rddot = cosg * (c0 + integral) + sing * gvals
     return SupportProfile(grid, r, rdot=rdot, rddot=rddot,
                           meta={"anchor_angle": theta0, "anchor_value": float(anchor_value)})

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import POLE_EPS, RoCProfile, SupportProfile, as_angle, t_of_theta, theta_of_t
-from .numerics import adaptive_simpson
+from .numerics import cumulative_quadrature
 from .relations import (
     LinearHopf,
     RelationError,
@@ -295,7 +295,10 @@ def hopf_closed_form(lam: float, C: float, A0: float, theta):
     def g(u: float) -> float:
         return -A0 * math.sin(u) ** (lam - 2.0)
 
-    integrals = np.array([adaptive_simpson(g, anchor, float(th)) for th in theta_arr])
+    # one cumulative pass over the sorted angles: short panels keep the
+    # quadrature accurate where sin^(lam-2) loses smoothness at the poles
+    nodes, where = np.unique(theta_arr, return_inverse=True)
+    integrals = cumulative_quadrature(g, nodes, x0=anchor)[where]
     r = r1 - np.cos(theta_arr) * integrals
     if np.ndim(theta) == 0:
         return float(r1[0]), float(r[0])

@@ -11,13 +11,12 @@ vertex and a triangle fan, which makes closed profiles watertight
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ProfileCurve3D
+from .profile_io import _atomic_write_text
 
 __all__ = ["RevolvedMesh", "revolve_profile", "export_obj", "mesh_stats"]
 
@@ -26,19 +25,24 @@ POLE_RHO_TOL = 1e-5
 
 @dataclass
 class RevolvedMesh:
-    vertices: np.ndarray       # (V, 3)
-    normals: np.ndarray        # (V, 3)
-    faces: list[tuple[int, int, int]]  # 0-based vertex indices
-    skipped_rows: int = 0
+    """Vertices and vertex normals, each ``(V, 3)``; ``faces`` is an
+    ``(F, 3)`` int64 array of 0-based vertex indices, one triangle per row."""
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+    vertices: np.ndarray
+    normals: np.ndarray
+    faces: np.ndarray
+    skipped_rows: int = 0
 
 
 def revolve_profile(curve: ProfileCurve3D, segments: int,
                     theta: np.ndarray | None = None) -> RevolvedMesh:
-    """Triangulated surface of revolution from a cylindrical profile curve."""
+    """Triangulated surface of revolution from a cylindrical profile curve.
+
+    Ring i holds vertices ``i*segments .. i*segments + segments - 1``; the
+    quad between rings i and i+1 at segment j is split into the triangles
+    (a+j, b+j, b+jn) and (a+j, b+jn, a+jn), rows in ring order, followed
+    by the north and the south cap fans.
+    """
     if segments < 3:
         raise ValueError("need at least 3 angular segments")
     grid = curve.grid if theta is None else np.asarray(theta, dtype=float)
@@ -62,27 +66,23 @@ def revolve_profile(curve: ProfileCurve3D, segments: int,
 
     phi = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
     cos_p, sin_p = np.cos(phi), np.sin(phi)
+    # per-row sin/cos through libm, so the written digits do not depend on
+    # numpy's vectorised transcendental kernels
+    st = np.fromiter(map(math.sin, grid_i), float, n_rows)[:, None]
+    ct = np.fromiter(map(math.cos, grid_i), float, n_rows)[:, None]
 
-    verts = np.empty((n_rows * segments, 3))
-    norms = np.empty_like(verts)
-    for i in range(n_rows):
-        base = i * segments
-        verts[base:base + segments, 0] = rho_i[i] * cos_p
-        verts[base:base + segments, 1] = rho_i[i] * sin_p
-        verts[base:base + segments, 2] = h_i[i]
-        st, ct = math.sin(grid_i[i]), math.cos(grid_i[i])
-        norms[base:base + segments, 0] = st * cos_p
-        norms[base:base + segments, 1] = st * sin_p
-        norms[base:base + segments, 2] = ct
+    shape = (n_rows, segments)
+    verts = np.stack([rho_i[:, None] * cos_p, rho_i[:, None] * sin_p,
+                      np.broadcast_to(h_i[:, None], shape)], axis=-1).reshape(-1, 3)
+    norms = np.stack([st * cos_p, st * sin_p,
+                      np.broadcast_to(ct, shape)], axis=-1).reshape(-1, 3)
 
-    faces: list[tuple[int, int, int]] = []
-    for i in range(n_rows - 1):
-        a0 = i * segments
-        b0 = (i + 1) * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            faces.append((a0 + j, b0 + j, b0 + jn))
-            faces.append((a0 + j, b0 + jn, a0 + jn))
+    j = np.arange(segments)
+    jn = (j + 1) % segments
+    a0 = np.arange(n_rows - 1)[:, None] * segments
+    b0 = a0 + segments
+    faces = [np.stack([a0 + j, b0 + j, b0 + jn, a0 + j, b0 + jn, a0 + jn],
+                      axis=-1).reshape(-1, 3)]
 
     extra_v = []
     extra_n = []
@@ -92,60 +92,60 @@ def revolve_profile(curve: ProfileCurve3D, segments: int,
         idx = n_rows * segments + len(extra_v)
         extra_v.append((0.0, 0.0, hp))
         extra_n.append((0.0, 0.0, math.cos(grid[0])))
-        for j in range(segments):
-            jn = (j + 1) % segments
-            faces.append((idx, j, jn))
+        faces.append(np.stack([np.full(segments, idx), j, jn], axis=-1))
     if cap_south:
         hp = h[-1] if np.abs(rho[-1]) <= POLE_RHO_TOL else h_i[-1]
         idx = n_rows * segments + len(extra_v)
         extra_v.append((0.0, 0.0, hp))
         extra_n.append((0.0, 0.0, math.cos(grid[-1])))
-        a0 = (n_rows - 1) * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            faces.append((idx, a0 + jn, a0 + j))
+        a_last = (n_rows - 1) * segments
+        faces.append(np.stack([np.full(segments, idx), a_last + jn, a_last + j], axis=-1))
     if extra_v:
         verts = np.vstack([verts, np.asarray(extra_v)])
         norms = np.vstack([norms, np.asarray(extra_n)])
-    return RevolvedMesh(verts, norms, faces, skipped_rows=skipped)
+    return RevolvedMesh(verts, norms, np.concatenate(faces).astype(np.int64, copy=False),
+                        skipped_rows=skipped)
 
 
 def export_obj(path: str, mesh: RevolvedMesh, comment: str = "") -> None:
-    lines = ["# weingarten surface of revolution (axis +z)"]
+    """Write the mesh as Wavefront OBJ, atomically.
+
+    Coordinates and normals carry 17 significant digits; faces are
+    1-based ``f a//a b//b c//c`` (vertex//normal, same index).
+    """
+    header = "# weingarten surface of revolution (axis +z)\n"
     if comment:
-        lines.append(f"# {comment}")
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    for n in mesh.normals:
-        lines.append(f"vn {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}")
-    for f in mesh.faces:
-        a, b, c = (i + 1 for i in f)
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        header += f"# {comment}\n"
+    verts = np.asarray(mesh.vertices, dtype=float)
+    norms = np.asarray(mesh.normals, dtype=float)
+    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
+    # format each "k//k" corner once per vertex, not once per face corner
+    corners = np.array(["%d//%d" % (k, k) for k in range(1, len(verts) + 1)], dtype=object)
+    text = "".join([
+        header,
+        ("v %.17g %.17g %.17g\n" * len(verts)) % tuple(verts.ravel().tolist()),
+        ("vn %.17g %.17g %.17g\n" * len(norms)) % tuple(norms.ravel().tolist()),
+        ("f %s %s %s\n" * len(faces)) % tuple(corners[faces].ravel().tolist()),
+    ])
+    _atomic_write_text(path, text)
 
 
 def mesh_stats(mesh: RevolvedMesh) -> dict:
     """Vertex/edge/face counts, Euler characteristic, boundary structure."""
-    edges: dict[tuple[int, int], int] = {}
-    for f in mesh.faces:
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            key = (a, b) if a < b else (b, a)
-            edges[key] = edges.get(key, 0) + 1
-    used = {i for f in mesh.faces for i in f}
-    V = len(used)
-    E = len(edges)
-    F = len(mesh.faces)
-    boundary_edges = sum(1 for c in edges.values() if c == 1)
-    nonmanifold = sum(1 for c in edges.values() if c > 2)
+    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
+    n = int(faces.max()) + 1 if faces.size else 0
+    # each undirected edge as one key min*n + max; sorted runs count its faces
+    nxt = faces[:, [1, 2, 0]]
+    keys = np.sort(np.minimum(faces, nxt) * n + np.maximum(faces, nxt), axis=None)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    used = np.zeros(n, dtype=bool)
+    used[faces.ravel()] = True
+    V = int(np.count_nonzero(used))
+    E = len(counts)
+    F = len(faces)
+    boundary_edges = int(np.count_nonzero(counts == 1))
+    nonmanifold = int(np.count_nonzero(counts > 2))
     return {
         "V": V, "E": E, "F": F,
         "euler_characteristic": V - E + F,

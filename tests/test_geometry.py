@@ -11,7 +11,9 @@ from weingarten import (
     cm_residual,
     curvatures_from_support,
     embed_profile,
+    integrate_cm,
     integrated_cm_check,
+    parse_relation,
     support_from_r1,
 )
 from weingarten.geometry import FlatPointError, SingularEvaluationError
@@ -101,6 +103,18 @@ class TestSupportFromR1:
         p = two_sine_profile()
         with pytest.raises(SingularEvaluationError):
             support_from_r1(p, math.pi / 2.0, 1.0)
+
+    @pytest.mark.parametrize("relation", ["r2 = 3*r1 - 1", "r2 = 2*r1 + sin(r1)/10"])
+    def test_rddot_matches_pointwise_dense_evaluator(self, relation):
+        # rddot = cos*(C0 + I) + sin*g with g = (r2 - r1)/sin; the reference
+        # takes g from one dense-evaluator call per sample
+        p = integrate_cm(parse_relation(relation), math.pi / 2.0, 1.0, (0.2, math.pi - 0.2))
+        assert p.evaluator is not None
+        s = support_from_r1(p, math.pi / 3.0, 0.7)
+        g = np.array([(float(p.r2_at(u)) - float(p.r1_at(u))) / math.sin(u) for u in p.grid])
+        sing, cosg = np.sin(p.grid), np.cos(p.grid)
+        want = cosg * (s.rdot_arr / sing) + sing * g
+        assert np.max(np.abs(s.rddot_arr - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEmbedProfile:

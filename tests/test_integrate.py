@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta, betainc
 
 from weingarten import (
     CubicRoC,
@@ -129,6 +130,35 @@ class TestHopfClosedForm:
     def test_degenerate_lambda(self):
         with pytest.raises(RelationError):
             hopf_closed_form(1.0, 2.0, 1.0, 0.7)
+
+    @pytest.mark.parametrize("lam", [2.75, 3.75, 3.9469])
+    def test_support_near_the_poles(self, lam):
+        # exact reference: int_0^theta sin^n = B(a, 1/2) I_{sin^2}(a, 1/2) / 2
+        # on [0, pi/2], a = (n + 1)/2, mirrored beyond pi/2
+        r0, amp = 1.5, 0.75
+        C, A0 = r0 * (1.0 - lam), amp * (1.0 - lam)
+        theta = np.linspace(1e-6, math.pi - 1e-6, 2000)
+
+        def sine_power_integral(x, n):
+            a = 0.5 * (n + 1.0)
+            half = 0.5 * beta(a, 0.5) * betainc(a, 0.5, np.sin(x) ** 2)
+            return np.where(x <= math.pi / 2.0, half, beta(a, 0.5) - half)
+
+        r1_want = r0 + amp * np.sin(theta) ** (lam - 1.0)
+        integral = -A0 * (sine_power_integral(theta, lam - 2.0)
+                          - sine_power_integral(math.pi / 3.0, lam - 2.0))
+        r_want = r1_want - np.cos(theta) * integral
+        r1, r = hopf_closed_form(lam, C, A0, theta)
+        assert np.max(np.abs(r1 - r1_want)) <= 1e-9 * np.max(np.abs(r1_want))
+        assert np.max(np.abs(r - r_want)) <= 1e-9 * np.max(np.abs(r_want))
+
+    def test_unsorted_and_repeated_angles(self):
+        theta = np.array([2.0, 0.5, 2.0, 1.2])
+        _, r = hopf_closed_form(3.0, -3.0, -1.0, theta)
+        order = np.argsort(theta)
+        _, r_sorted = hopf_closed_form(3.0, -3.0, -1.0, theta[order])
+        assert r[0] == r[2]
+        assert np.array_equal(r[order], r_sorted)
 
     def test_support_solves_the_ode(self):
         theta = np.linspace(0.4, 2.6, 301)

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weingarten import (
     LinearHopf,
@@ -16,6 +17,7 @@ from weingarten import (
     write_profile_csv,
 )
 from weingarten.geometry import ProfileCurve3D
+from weingarten.meshing import RevolvedMesh, export_obj
 from weingarten.profile_io import ProfileBundle
 
 
@@ -108,3 +110,91 @@ class TestMesh:
         h = np.linspace(0.0, 1.0, 6)
         mesh = revolve_profile(ProfileCurve3D(grid, rho, h), 8)
         assert mesh.skipped_rows == 1
+
+
+# ---------------------------------------------------------------------------
+# array-at-a-time meshing against the per-element reference it replaced
+
+
+def loop_faces(n_rows, segments, cap_north, cap_south):
+    """Face list in the order of the per-row, per-segment loop."""
+    faces = []
+    for i in range(n_rows - 1):
+        a0, b0 = i * segments, (i + 1) * segments
+        for j in range(segments):
+            jn = (j + 1) % segments
+            faces.append((a0 + j, b0 + j, b0 + jn))
+            faces.append((a0 + j, b0 + jn, a0 + jn))
+    idx = n_rows * segments
+    if cap_north:
+        faces += [(idx, j, (j + 1) % segments) for j in range(segments)]
+        idx += 1
+    if cap_south:
+        a0 = (n_rows - 1) * segments
+        faces += [(idx, a0 + (j + 1) % segments, a0 + j) for j in range(segments)]
+    return faces
+
+
+def six_row_curve(caps: bool) -> ProfileCurve3D:
+    grid = np.linspace(0.3, 2.7, 6)
+    rho = np.sin(grid) / 3.0
+    if caps:
+        rho[0] = rho[-1] = 0.0
+    return ProfileCurve3D(grid, rho, np.cos(grid) / 7.0)
+
+
+def brute_force_stats(faces) -> dict:
+    edges: dict[tuple[int, int], int] = {}
+    for f in faces:
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            key = (a, b) if a < b else (b, a)
+            edges[key] = edges.get(key, 0) + 1
+    V = len({i for f in faces for i in f})
+    boundary = sum(1 for c in edges.values() if c == 1)
+    nonmanifold = sum(1 for c in edges.values() if c > 2)
+    return {"V": V, "E": len(edges), "F": len(faces),
+            "euler_characteristic": V - len(edges) + len(faces),
+            "boundary_edges": boundary, "nonmanifold_edges": nonmanifold,
+            "watertight": boundary == 0 and nonmanifold == 0}
+
+
+class TestArrayMeshing:
+    @pytest.mark.parametrize("segments", [3, 8])
+    @pytest.mark.parametrize("caps", [False, True])
+    def test_face_order_matches_loop(self, segments, caps):
+        mesh = revolve_profile(six_row_curve(caps), segments)
+        n_rows = 4 if caps else 6
+        want = np.array(loop_faces(n_rows, segments, caps, caps))
+        assert mesh.faces.shape == (len(want), 3)
+        assert np.issubdtype(mesh.faces.dtype, np.integer)
+        assert np.array_equal(mesh.faces, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 7).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True),
+        min_size=1, max_size=24)))
+    @example([[0, 1, 2]])                                # three boundary edges
+    @example([[0, 1, 2], [1, 0, 3], [0, 1, 4], [2, 3, 4]])   # edge (0, 1) in three faces
+    def test_stats_match_dict_of_edges(self, faces):
+        mesh = RevolvedMesh(np.zeros((8, 3)), np.zeros((8, 3)), np.array(faces))
+        assert mesh_stats(mesh) == brute_force_stats(faces)
+
+    def test_stats_of_no_faces(self):
+        mesh = RevolvedMesh(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        assert mesh_stats(mesh) == brute_force_stats([])
+
+    def test_obj_text_matches_per_line_writer(self, tmp_path):
+        mesh = revolve_profile(six_row_curve(caps=True), 5)
+        lines = ["# weingarten surface of revolution (axis +z)", "# golden"]
+        for v in mesh.vertices:
+            lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
+        for n in mesh.normals:
+            lines.append(f"vn {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}")
+        for f in mesh.faces:
+            a, b, c = (int(i) + 1 for i in f)
+            lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+        path = os.path.join(tmp_path, "golden.obj")
+        export_obj(path, mesh, comment="golden")
+        with open(path) as fh:
+            assert fh.read() == "\n".join(lines) + "\n"
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
