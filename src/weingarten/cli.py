@@ -22,11 +22,10 @@ from . import __version__
 from .expressions import ParseError
 from .geometry import (
     FlatPointError,
-    RoCProfile,
+    ProfileCurve3D,
     SingularEvaluationError,
     cm_residual,
     embed_profile,
-    support_from_r1,
 )
 from .integrate import IntegrationError, StepControl, integrate_cm
 from .meshing import export_obj, mesh_stats, revolve_profile
@@ -46,8 +45,9 @@ from .relations import (
     WeingartenRelation,
     parse_relation,
     render_relation,
+    to_semiquadratic,
 )
-from .semiquadratic import classification_report
+from .semiquadratic import classification_report, reduce_to_pure_linear
 from .umbilic import UndefinedSlopeError, umbilic_slope_estimate
 from .variational import (
     HopfL1Spec,
@@ -56,6 +56,7 @@ from .variational import (
     Multiplier,
     SingularMultiplierError,
     VariationalState,
+    _phi_of_spec,
     euler_lagrange_residual,
     first_integral_I,
     first_integral_Q,
@@ -88,10 +89,6 @@ def _emit(report: dict, path: Optional[str]) -> None:
 
 def _base_report(config: dict) -> dict:
     return {"schema": 1, "tool": f"weingarten {__version__}", "config": config}
-
-
-def _profile_from_bundle(bundle: ProfileBundle) -> RoCProfile:
-    return bundle.roc_profile()
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +168,7 @@ def cmd_transform(config: dict) -> int:
     if abs(det - 1.0) > 1e-9:
         raise RelationError(f"matrix determinant {det} is not 1")
     M = MoebiusElement(a, b, c, d)
-    profile = _profile_from_bundle(bundle)
+    profile = bundle.roc_profile()
     cal = config.get("calibration", "auto")
     if cal not in (None, "auto"):
         cal = Calibration(float(cal))
@@ -194,11 +191,13 @@ def cmd_transform(config: dict) -> int:
                        "theta_max": img.theta_max},
         "cm_residual_max": float(np.nanmax(np.abs(res))),
     })
+    metadata = {"transform_of": img.meta["transform_of"],
+                "matrix": json.dumps([a, b, c, d]),
+                "calibration": out.A}
+    if img.relation is not None:
+        metadata["relation"] = render_relation(img.relation)
     out_bundle = ProfileBundle(img.grid, np.full(len(img.grid), np.nan),
-                               img.r1, img.r2, out.embedding.rho, out.embedding.h,
-                               {"relation": img.meta.get("transform_of", ""),
-                                "matrix": json.dumps([a, b, c, d]),
-                                "calibration": out.A})
+                               img.r1, img.r2, out.embedding.rho, out.embedding.h, metadata)
     if config.get("output"):
         write_profile_csv(config["output"], out_bundle)
     _emit(report, config.get("report"))
@@ -207,8 +206,6 @@ def cmd_transform(config: dict) -> int:
 
 def cmd_classify(config: dict) -> int:
     rel = parse_relation(config["relation"])
-    from .mobius import to_semiquadratic
-
     try:
         to_semiquadratic(rel)
     except RelationError as exc:
@@ -220,8 +217,6 @@ def cmd_classify(config: dict) -> int:
 
 
 def cmd_reduce(config: dict) -> int:
-    from .semiquadratic import reduce_to_pure_linear
-
     rel = parse_relation(config["relation"])
     M, lam = reduce_to_pure_linear(rel)
     report = _base_report(config)
@@ -259,8 +254,6 @@ def cmd_variational(config: dict) -> int:
     res = euler_lagrange_residual(spec, rel, traj, thetas=thetas, mult=mult)
     states = [VariationalState(float(t), float(traj.value(t)), float(traj.rdot(t)))
               for t in thetas]
-    from weingarten.variational import _phi_of_spec
-
     phi_fn = _phi_of_spec(spec, rel, mult)
     helm = helmholtz_residual(rel, phi_fn, states, mult)
     seed = int(config.get("seed", 0))
@@ -301,8 +294,6 @@ def cmd_export_mesh(config: dict) -> int:
     finite = np.isfinite(bundle.rho) & np.isfinite(bundle.h)
     if not finite.any():
         raise ParseError("profile has no finite (rho, h) rows", 0)
-    from .geometry import ProfileCurve3D
-
     curve = ProfileCurve3D(bundle.theta, bundle.rho, bundle.h)
     mesh = revolve_profile(curve, int(config.get("segments", 64)))
     export_obj(config["output"], mesh,

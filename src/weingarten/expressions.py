@@ -89,12 +89,6 @@ class _Tokenizer:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> Optional[str]:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
     def next_token(self) -> Optional[tuple[str, object, int]]:
         """Return (kind, value, position) or None at end of input."""
         self._skip_ws()

@@ -116,14 +116,6 @@ class RoCPoint:
     r1: ExtReal
     r2: ExtReal
 
-    @property
-    def umbilic(self) -> bool:
-        return (not self.r1.is_inf) and (not self.r2.is_inf) and self.r1.value == self.r2.value
-
-    @property
-    def flat(self) -> bool:
-        return self.r2.is_inf
-
 
 def _is_uniform(x: np.ndarray, rtol: float = 1e-6) -> bool:
     # tolerance sized for coordinate round-trip noise; spacing wobble at
@@ -138,15 +130,30 @@ class RoCProfile:
     """Sampled curve theta -> (r1, r2) in the extended RoC plane.
 
     ``grid`` is strictly increasing; np.inf marks flat samples in r2.
-    An optional ``evaluator`` (theta -> (r1, r2)) provides dense values
-    for analytically or ODE-densely constructed profiles; an optional
-    ``r1_deriv`` callback provides the exact dr1/dtheta.
     ``pole_values`` holds declared finite limits at theta in {0, pi}.
+    Every field is declared in ``__slots__`` and set by the constructor,
+    so attaching any other attribute raises AttributeError.  Optional
+    keyword fields, all ``None`` unless given:
+
+    * ``evaluator`` -- dense values theta -> array([r1, r2]) for
+      analytically or ODE-densely constructed profiles;
+    * ``relation`` -- the Weingarten relation the curve satisfies;
+    * ``support`` -- the SupportProfile of the same surface;
+    * ``s_fn`` -- exact excess theta -> r2 - r1 (scalar in, scalar out),
+      used where differences of interpolated radii drown in noise;
+    * ``r1_excess_fn`` -- exact theta -> r1 - r0 against the umbilic
+      value r0 at the pole (scalar in, scalar out).
     """
+
+    __slots__ = ("grid", "r1", "r2", "pole_values", "evaluator", "relation", "support",
+                 "s_fn", "r1_excess_fn", "tolerance", "meta", "_spl_r1", "_spl_r2")
 
     def __init__(self, grid, r1, r2, *, pole_values: Optional[dict] = None,
                  evaluator: Optional[Callable] = None,
-                 r1_deriv: Optional[Callable] = None,
+                 relation=None,
+                 support: Optional["SupportProfile"] = None,
+                 s_fn: Optional[Callable] = None,
+                 r1_excess_fn: Optional[Callable] = None,
                  tolerance: float = 1e-8,
                  meta: Optional[dict] = None):
         self.grid = np.asarray(grid, dtype=float)
@@ -160,7 +167,10 @@ class RoCProfile:
             raise ValueError("grid must lie in [0, pi]")
         self.pole_values = dict(pole_values) if pole_values else {}
         self.evaluator = evaluator
-        self.r1_deriv = r1_deriv
+        self.relation = relation
+        self.support = support
+        self.s_fn = s_fn
+        self.r1_excess_fn = r1_excess_fn
         self.tolerance = float(tolerance)
         self.meta = dict(meta) if meta else {}
         self._spl_r1 = None
@@ -206,17 +216,25 @@ class RoCProfile:
         mask = (self.grid >= lo) & (self.grid <= hi)
         return RoCProfile(self.grid[mask], self.r1[mask], self.r2[mask],
                           pole_values=self.pole_values, evaluator=self.evaluator,
-                          r1_deriv=self.r1_deriv, tolerance=self.tolerance,
+                          relation=self.relation, support=self.support, s_fn=self.s_fn,
+                          r1_excess_fn=self.r1_excess_fn, tolerance=self.tolerance,
                           meta=self.meta)
 
 
 class SupportProfile:
     """Sampled support function with trustworthy first/second derivatives.
 
-    Sources, in order of preference: analytic callbacks (r, rdot, rddot),
-    stored derivative arrays from an exact construction, or a spline of
-    degree >= 4 through the samples.
+    Sources, in order of preference: analytic callbacks (``r_fun``,
+    ``rdot_fun``, ``rddot_fun``), stored derivative arrays from an exact
+    construction (``rdot``, ``rddot``), or a spline of degree >= 4
+    through the samples.  Callbacks given to the constructor are
+    array-first: a 1-d theta array in gives an array out, a 0-d theta
+    gives a scalar; ``from_callables`` adapts scalar callbacks.  Every
+    field is declared in ``__slots__`` and set by the constructor.
     """
+
+    __slots__ = ("grid", "r", "rdot_arr", "rddot_arr", "r_fun", "rdot_fun", "rddot_fun",
+                 "meta", "_spl")
 
     def __init__(self, grid, r, *, rdot=None, rddot=None,
                  r_fun: Optional[Callable] = None,
@@ -237,9 +255,15 @@ class SupportProfile:
 
     @classmethod
     def from_callables(cls, grid, r_fun, rdot_fun, rddot_fun, meta=None) -> "SupportProfile":
+        """Analytic support from scalar callbacks theta -> value."""
+        def array_first(fun):
+            vec = np.vectorize(fun, otypes=[float])
+            return lambda theta: vec(theta) if np.ndim(theta) else fun(float(theta))
+
+        r_fun, rdot_fun, rddot_fun = (array_first(f) for f in (r_fun, rdot_fun, rddot_fun))
         grid = np.asarray(grid, dtype=float)
-        r = np.array([r_fun(th) for th in grid], dtype=float)
-        return cls(grid, r, r_fun=r_fun, rdot_fun=rdot_fun, rddot_fun=rddot_fun, meta=meta)
+        return cls(grid, r_fun(grid), r_fun=r_fun, rdot_fun=rdot_fun, rddot_fun=rddot_fun,
+                   meta=meta)
 
     @property
     def analytic(self) -> bool:
@@ -255,12 +279,12 @@ class SupportProfile:
 
     def value(self, theta):
         if self.r_fun is not None:
-            return np.vectorize(self.r_fun)(theta) if np.ndim(theta) else self.r_fun(float(theta))
+            return self.r_fun(theta)
         return self._spline()(theta)
 
     def rdot(self, theta):
         if self.rdot_fun is not None:
-            return np.vectorize(self.rdot_fun)(theta) if np.ndim(theta) else self.rdot_fun(float(theta))
+            return self.rdot_fun(theta)
         if self.rdot_arr is not None and np.ndim(theta) and len(np.asarray(theta)) == len(self.grid) \
                 and np.allclose(theta, self.grid, rtol=0, atol=0):
             return self.rdot_arr
@@ -268,7 +292,7 @@ class SupportProfile:
 
     def rddot(self, theta):
         if self.rddot_fun is not None:
-            return np.vectorize(self.rddot_fun)(theta) if np.ndim(theta) else self.rddot_fun(float(theta))
+            return self.rddot_fun(theta)
         if self.rddot_arr is not None and np.ndim(theta) and len(np.asarray(theta)) == len(self.grid) \
                 and np.allclose(theta, self.grid, rtol=0, atol=0):
             return self.rddot_arr
@@ -297,7 +321,7 @@ class ProfileCurve3D:
 # operations
 
 
-def _check_interior(grid: np.ndarray, pole_values: Optional[dict]) -> np.ndarray:
+def _check_interior(grid: np.ndarray) -> np.ndarray:
     """Mask of samples where cot(theta) may be evaluated."""
     return (grid >= POLE_EPS) & (grid <= math.pi - POLE_EPS)
 
@@ -309,7 +333,7 @@ def curvatures_from_support(s: SupportProfile, pole_limits: Optional[dict] = Non
     (theta -> (r1, r2)); otherwise they raise SingularEvaluationError.
     """
     grid = s.grid
-    interior = _check_interior(grid, None)
+    interior = _check_interior(grid)
     if not np.all(interior) and not pole_limits:
         bad = grid[~interior]
         raise SingularEvaluationError(
@@ -329,17 +353,15 @@ def curvatures_from_support(s: SupportProfile, pole_limits: Optional[dict] = Non
             pole_values[th] = pole_limits[key]
 
     evaluator = None
-    r1_deriv = None
     if s.analytic and s.r_fun is not None:
         def evaluator(th, _s=s):
             th = np.asarray(th, dtype=float)
-            rv = np.vectorize(_s.r_fun)(th)
-            r1v = rv + np.vectorize(_s.rdot_fun)(th) / np.tan(th)
-            r2v = rv + np.vectorize(_s.rddot_fun)(th)
+            rv = _s.r_fun(th)
+            r1v = rv + _s.rdot_fun(th) / np.tan(th)
+            r2v = rv + _s.rddot_fun(th)
             return np.array([r1v, r2v])
     return RoCProfile(grid, r1, r2, pole_values=pole_values or None,
-                      evaluator=evaluator, r1_deriv=r1_deriv,
-                      meta={"source": "support"})
+                      evaluator=evaluator, meta={"source": "support"})
 
 
 def support_from_r1(p: RoCProfile, anchor_angle, anchor_value: float) -> SupportProfile:
@@ -415,8 +437,6 @@ def embed_profile(p: RoCProfile, h_anchor: float = 0.0) -> ProfileCurve3D:
 
 def _r1_derivative(p: RoCProfile) -> np.ndarray:
     """dr1/dtheta on the grid by the declared scheme."""
-    if p.r1_deriv is not None:
-        return np.array([p.r1_deriv(th) for th in p.grid], dtype=float)
     t = t_of_theta(p.grid)
     if _is_uniform(t):
         dt = float(t[1] - t[0])
@@ -432,7 +452,7 @@ def cm_residual(p: RoCProfile) -> np.ndarray:
     residual = dr1/dtheta - (r2 - r1)*cot(theta); zero (to construction
     tolerance) exactly when the profile comes from a surface of revolution.
     """
-    interior = _check_interior(p.grid, p.pole_values)
+    interior = _check_interior(p.grid)
     if not np.all(interior):
         raise SingularEvaluationError("cm_residual needs an interior grid")
     d = _r1_derivative(p)

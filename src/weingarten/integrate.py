@@ -250,32 +250,23 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         "atol": sc.atol,
         "value_noise": 100.0 * sc.atol,
     }
-    profile = RoCProfile(theta_grid, r1, r2, evaluator=evaluator,
-                         tolerance=10.0 * sc.rtol + 1e-8, meta=meta)
-    profile.relation = rel
-
+    support = None
     if with_support:
-        r_arr = states[1]
-        u_arr = states[2]
-        rddot = eval_F_float(rel, r1) - r_arr
-        support = SupportProfile(theta_grid, r_arr, rdot=u_arr, rddot=rddot,
+        def on_state(row_of):
+            """Array-first support callback: one dense-output call per query array."""
+            def callback(theta):
+                vals = row_of(eval_state(t_of_theta(theta)))
+                return vals if np.ndim(theta) else float(vals[0])
+            return callback
+
+        support = SupportProfile(theta_grid, states[1], rdot=states[2],
+                                 rddot=eval_F_float(rel, r1) - states[1],
+                                 r_fun=on_state(lambda st: st[1]),
+                                 rdot_fun=on_state(lambda st: st[2]),
+                                 rddot_fun=on_state(lambda st: eval_F_float(rel, st[0]) - st[1]),
                                  meta={"relation": meta["relation"]})
-
-        def r_fun(th, _e=eval_state):
-            return float(_e(np.array([t_of_theta(th)]))[1, 0])
-
-        def rdot_fun(th, _e=eval_state):
-            return float(_e(np.array([t_of_theta(th)]))[2, 0])
-
-        def rddot_fun(th, _e=eval_state, _rel=rel):
-            st = _e(np.array([t_of_theta(th)]))
-            return float(eval_F_float(_rel, st[0, 0]) - st[1, 0])
-
-        support.r_fun = r_fun
-        support.rdot_fun = rdot_fun
-        support.rddot_fun = rddot_fun
-        profile.support = support
-    return profile
+    return RoCProfile(theta_grid, r1, r2, evaluator=evaluator, relation=rel, support=support,
+                      tolerance=10.0 * sc.rtol + 1e-8, meta=meta)
 
 
 def hopf_closed_form(lam: float, C: float, A0: float, theta):

@@ -13,20 +13,21 @@ Every such matrix factors into parallel translations along the normal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.interpolate import make_interp_spline
 
 from .geometry import (
-    POLE_EPS,
     FlatPointError,
     ProfileCurve3D,
     RoCPoint,
     RoCProfile,
-    embed_profile,
+    _is_uniform,
+    t_of_theta,
 )
-from .numerics import refine_max_parabolic
+from .numerics import cumulative_simpson_uniform, derivative_samples, refine_max_parabolic
 from .projective import frac_linear, frac_linear_array
 from .relations import (
     CubicRoC,
@@ -36,9 +37,10 @@ from .relations import (
     RelationError,
     SemiQuadratic,
     WeingartenRelation,
-    eval_F_float,
     eval_F_prime,
+    to_semiquadratic,
 )
+from .umbilic import UndefinedSlopeError, umbilic_slope_estimate
 from . import expressions as ex
 
 __all__ = [
@@ -108,11 +110,6 @@ class MoebiusElement:
     def is_identity(self) -> bool:
         return (abs(self.a - 1) < 1e-14 and abs(self.d - 1) < 1e-14
                 and abs(self.b) < 1e-14 and abs(self.c) < 1e-14)
-
-    @classmethod
-    def from_json(cls, data) -> "MoebiusElement":
-        a, b, c, d = (float(x) for x in data)
-        return cls(a, b, c, d)
 
     def to_json(self) -> list:
         return [self.a, self.b, self.c, self.d]
@@ -235,12 +232,6 @@ class Reparameterization:
     auto_calibrated: bool
     reversed_branch: bool = False
 
-    def dtheta_tilde(self, theta: np.ndarray, r2: np.ndarray,
-                     theta_tilde: np.ndarray) -> np.ndarray:
-        """d(theta~)/d(theta) = A (c r2 + d) cos(theta) / cos(theta~)."""
-        num = self.A * (self.M.c * r2 + self.M.d) * np.cos(theta)
-        return num / np.cos(theta_tilde)
-
 
 def _rho_of(profile: RoCProfile) -> np.ndarray:
     return profile.r1 * np.sin(profile.grid)
@@ -307,9 +298,6 @@ class TransformedSurface:
     notes: str = ""
 
 
-from .numerics import cumulative_simpson_uniform as _cumulative_simpson_uniform
-
-
 def _equator_patched_h(theta: np.ndarray, theta_tilde: np.ndarray,
                        r2_img: np.ndarray, rep: Reparameterization,
                        r2_src: np.ndarray, h_anchor: float,
@@ -359,15 +347,10 @@ def _equator_patched_h(theta: np.ndarray, theta_tilde: np.ndarray,
 
     # integrate in the uniform-in-t coordinate when available, otherwise
     # through a quintic-spline antiderivative of the sampled integrand
-    from .geometry import t_of_theta
-
     t = t_of_theta(theta)
-    dt = np.diff(t)
-    if len(dt) and np.max(np.abs(dt - dt[0])) <= 1e-5 * abs(dt[0]):
-        integral = _cumulative_simpson_uniform(f * np.sin(theta), float(dt[0]))
+    if _is_uniform(t, rtol=1e-5):
+        integral = cumulative_simpson_uniform(f * np.sin(theta), float(t[1] - t[0]))
     elif len(theta) >= 6:
-        from scipy.interpolate import make_interp_spline
-
         anti = make_interp_spline(theta, f, k=5).antiderivative()
         integral = anti(theta) - anti(theta[0])
     else:
@@ -423,17 +406,21 @@ def induced_surface(M: MoebiusElement, profile: RoCProfile,
     if profile.evaluator is not None:
         inv_map = _ImageEvaluator(M, rep, profile, theta_src, tt)
 
+    # the image satisfies the transported relation; it has none when the
+    # source has none or the transport is undefined
+    relation = None
+    if profile.relation is not None:
+        try:
+            relation = transform_relation(M, profile.relation)
+        except RelationError:
+            pass
     img = RoCProfile(tt, r1_img, r2_img,
                      evaluator=inv_map,
+                     relation=relation,
                      tolerance=profile.tolerance,
                      meta={"transform_of": profile.meta.get("relation", "profile"),
                            "matrix": M.to_json(), "calibration": rep.A,
                            "value_noise": profile.meta.get("value_noise", 1e-10)})
-    if getattr(profile, "relation", None) is not None:
-        try:
-            img.relation = transform_relation(M, profile.relation)
-        except RelationError:
-            pass
     emb = ProfileCurve3D(tt, rho_img, h_img, meta={"h_anchor": h_anchor})
     return TransformedSurface(kind="surface", M=M, A=rep.A, profile=img,
                               embedding=emb, source_theta=theta_src,
@@ -527,18 +514,6 @@ def _semiquadratic_pushforward(M: MoebiusElement, rel: SemiQuadratic) -> SemiQua
     return SemiQuadratic(al2, be2, ga2, de2)
 
 
-def to_semiquadratic(rel: WeingartenRelation) -> SemiQuadratic:
-    """Curvature-coefficient form of any semi-quadratic-representable relation."""
-    if isinstance(rel, SemiQuadratic):
-        return rel
-    if isinstance(rel, LinearHopf):
-        # r2 = lam r1 + C  <=>  C k1 k2 - k1 + lam k2 = 0
-        return SemiQuadratic(rel.C, -1.0, rel.lam, 0.0)
-    if isinstance(rel, PureKLinear):
-        return SemiQuadratic(0.0, rel.lam, -1.0, 0.0)
-    raise RelationError(f"{type(rel).__name__} is not semi-quadratic")
-
-
 def _canonicalize(rel: SemiQuadratic) -> WeingartenRelation:
     """Fold back into the named r-form families when exact."""
     al, be, ga, de = rel.coefficients()
@@ -550,12 +525,7 @@ def _canonicalize(rel: SemiQuadratic) -> WeingartenRelation:
         return LinearHopf(lam, C)
     if de == 0.0 and al == 0.0 and ga != 0.0:
         return PureKLinear(-be / ga)
-    from .semiquadratic import invariants
-
-    inv = invariants(rel)
-    if inv.lambda2 > 0.0:
-        return rel.scaled(1.0 / math.sqrt(inv.lambda2))
-    return rel
+    return rel.normalized()
 
 
 def transform_relation(M: MoebiusElement, rel: WeingartenRelation) -> WeingartenRelation:
@@ -571,12 +541,7 @@ def transform_relation(M: MoebiusElement, rel: WeingartenRelation) -> Weingarten
     if isinstance(rel, (SemiQuadratic, LinearHopf, PureKLinear)):
         image = _semiquadratic_pushforward(M, to_semiquadratic(rel))
         if isinstance(rel, SemiQuadratic):
-            from .semiquadratic import invariants
-
-            inv = invariants(image)
-            if inv.lambda2 > 0.0:
-                return image.scaled(1.0 / math.sqrt(inv.lambda2))
-            return image
+            return image.normalized()
         return _canonicalize(image)
     if isinstance(rel, (CubicRoC, ExplicitF)):
         if isinstance(rel, CubicRoC):
@@ -607,8 +572,6 @@ def verify_transform_properties(M: MoebiusElement, profile: RoCProfile,
     slope lies in {mu, 1/mu} within ``slope_tol`` (both distances are
     reported).
     """
-    from .umbilic import UndefinedSlopeError, umbilic_slope_estimate
-
     result: dict = {"matrix": M.to_json()}
     out = induced_surface(M, profile, cal=cal)
     if out.kind != "surface":
@@ -629,8 +592,8 @@ def verify_transform_properties(M: MoebiusElement, profile: RoCProfile,
     result["umbilic_correspondence"] = bool(np.all(umb_src == (umb_src & umb_img))
                                             and np.all(umb_img[umb_src]))
 
-    rel = getattr(profile, "relation", None)
-    if rel is not None and getattr(img, "relation", None) is not None:
+    rel = profile.relation
+    if rel is not None and img.relation is not None:
         sgn_src = []
         sgn_img = []
         for th, r1v in zip(theta_src[:: max(1, len(theta_src) // 32)],
@@ -638,9 +601,8 @@ def verify_transform_properties(M: MoebiusElement, profile: RoCProfile,
             try:
                 sgn_src.append(math.copysign(1.0, -eval_F_prime(rel, r1v)))
                 r1i = float(frac_linear_array(M.a, M.b, M.c, M.d, np.array([r1v]))[0])
-                if isinstance(img.relation, (SemiQuadratic, LinearHopf, PureKLinear, CubicRoC, ExplicitF)):
-                    sgn_img.append(math.copysign(1.0, -eval_F_prime(img.relation, r1i)))
-            except Exception:
+                sgn_img.append(math.copysign(1.0, -eval_F_prime(img.relation, r1i)))
+            except ArithmeticError:
                 continue
         if sgn_src and len(sgn_src) == len(sgn_img):
             result["ellipticity_sign_preserved"] = bool(np.all(np.array(sgn_src) == np.array(sgn_img)))
@@ -714,7 +676,7 @@ def ads_invariants(profile: RoCProfile, n_samples: int = 200) -> AdsInvariants:
     the linear-(H, K) Weingarten case.  Samples with s = 0 or with a
     vanishing tangent (the equator, where dr1/dtheta = 0) are skipped.
     """
-    rel = getattr(profile, "relation", None)
+    rel = profile.relation
     theta = np.linspace(profile.theta_min, profile.theta_max, n_samples)
     r1 = np.asarray(profile.r1_at(theta), dtype=float)
     r2 = np.asarray(profile.r2_at(theta), dtype=float)
@@ -722,7 +684,6 @@ def ads_invariants(profile: RoCProfile, n_samples: int = 200) -> AdsInvariants:
         dr1 = (r2 - r1) / np.tan(theta)
         dr2 = np.array([eval_F_prime(rel, v) for v in r1]) * dr1
     else:
-        from .numerics import derivative_samples
         dr1 = derivative_samples(theta, r1)
         dr2 = derivative_samples(theta, r2)
     psi = 0.5 * (r2 + r1)

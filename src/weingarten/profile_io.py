@@ -17,7 +17,9 @@ from typing import Optional
 
 import numpy as np
 
+from .expressions import ParseError
 from .geometry import ProfileCurve3D, RoCProfile, SupportProfile
+from .relations import RelationError, parse_relation
 
 __all__ = ["ProfileBundle", "write_profile_csv", "read_profile_csv",
            "write_json_atomic", "format_float"]
@@ -81,23 +83,17 @@ class ProfileBundle:
                    rho, h, meta)
 
     def roc_profile(self) -> RoCProfile:
+        """The stored radii, carrying the relation of the ``relation`` header if it parses."""
         meta = {k: v for k, v in self.metadata.items()}
         meta.setdefault("value_noise", 1e-12)  # 17-significant-digit storage
-        prof = RoCProfile(self.theta, self.r1, self.r2, meta=meta)
+        relation = None
         relation_text = self.metadata.get("relation")
         if relation_text:
             try:
-                from .relations import parse_relation
-
-                prof.relation = parse_relation(str(relation_text))
-            except Exception:
+                relation = parse_relation(str(relation_text))
+            except (ParseError, RelationError):
                 pass
-        return prof
-
-    def support_profile(self) -> SupportProfile:
-        if np.all(np.isnan(self.r)):
-            raise ValueError("bundle carries no support samples")
-        return SupportProfile(self.theta, self.r)
+        return RoCProfile(self.theta, self.r1, self.r2, relation=relation, meta=meta)
 
 
 def write_profile_csv(path: str, bundle: ProfileBundle) -> None:

@@ -42,11 +42,6 @@ class ExtReal:
     def is_inf(self) -> bool:
         return self.infinite
 
-    def finite(self) -> float:
-        if self.infinite:
-            raise ProjectiveError("point at infinity has no finite value")
-        return self.value
-
     def reciprocal(self) -> "ExtReal":
         if self.infinite:
             return ExtReal(0.0)
@@ -73,11 +68,6 @@ class ExtReal:
 
     def __repr__(self) -> str:
         return "ExtReal(inf)" if self.infinite else f"ExtReal({self.value!r})"
-
-    def isclose(self, other: "ExtReal", tol: float = 1e-12) -> bool:
-        if self.infinite or other.infinite:
-            return self.infinite and other.infinite
-        return abs(self.value - other.value) <= tol * max(1.0, abs(self.value), abs(other.value))
 
 
 INF = ExtReal.infinity()

@@ -47,6 +47,7 @@ __all__ = [
     "eval_F",
     "eval_F_prime",
     "fixed_points",
+    "to_semiquadratic",
 ]
 
 
@@ -63,11 +64,6 @@ class LinearHopf:
     def degenerate(self) -> bool:
         """lam = 1 has no one-parameter closed form (the ODE loses its forcing)."""
         return abs(self.lam - 1.0) <= 1e-12
-
-    def fixed_point(self) -> float:
-        if self.degenerate:
-            raise RelationError("lam = 1 linear Hopf relation has no isolated fixed point")
-        return self.C / (1.0 - self.lam)
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,16 @@ class SemiQuadratic:
     def scaled(self, factor: float) -> "SemiQuadratic":
         return SemiQuadratic(self.alpha * factor, self.beta * factor,
                              self.gamma * factor, self.delta * factor)
+
+    @property
+    def lambda2(self) -> float:
+        """Discriminant invariant Lambda2 = (beta + gamma)^2 - 4*alpha*delta."""
+        return (self.beta + self.gamma) ** 2 - 4.0 * self.alpha * self.delta
+
+    def normalized(self) -> "SemiQuadratic":
+        """Scaled to Lambda2 = 1 when Lambda2 > 0; returned unchanged otherwise."""
+        lam2 = self.lambda2
+        return self.scaled(1.0 / math.sqrt(lam2)) if lam2 > 0.0 else self
 
 
 @dataclass(frozen=True)
@@ -282,7 +288,11 @@ def eval_F_float(rel: WeingartenRelation, u):
     if isinstance(rel, LinearHopf):
         return rel.lam * np.asarray(u, dtype=float) + rel.C
     if isinstance(rel, PureKLinear):
-        return np.asarray(u, dtype=float) / rel.lam
+        u = np.asarray(u, dtype=float)
+        if rel.lam == 0.0:
+            # k2 = 0: as in eval_F, 0 stays 0 and every other radius goes to infinity
+            return np.where(u == 0.0, 0.0, np.inf)[()]
+        return u / rel.lam
     if isinstance(rel, CubicRoC):
         return rel.gamma ** 2 * np.asarray(u, dtype=float) ** 3
     if isinstance(rel, SemiQuadratic):
@@ -320,6 +330,18 @@ def eval_F_prime(rel: WeingartenRelation, r1: float) -> float:
         deriv = ex.diff_expr(rel.expr, "r1")
         return ex.eval_expr(deriv, {"r1": u})
     raise TypeError(f"not a relation: {rel!r}")
+
+
+def to_semiquadratic(rel: WeingartenRelation) -> SemiQuadratic:
+    """Curvature-coefficient form of any semi-quadratic-representable relation."""
+    if isinstance(rel, SemiQuadratic):
+        return rel
+    if isinstance(rel, LinearHopf):
+        # r2 = lam r1 + C  <=>  C k1 k2 - k1 + lam k2 = 0
+        return SemiQuadratic(rel.C, -1.0, rel.lam, 0.0)
+    if isinstance(rel, PureKLinear):
+        return SemiQuadratic(0.0, rel.lam, -1.0, 0.0)
+    raise RelationError(f"{type(rel).__name__} is not semi-quadratic")
 
 
 def fixed_points(rel: WeingartenRelation, bracket: tuple[float, float],

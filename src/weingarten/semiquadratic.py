@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mobius import MoebiusElement, transform_relation, to_semiquadratic
-from .relations import RelationError, SemiQuadratic, WeingartenRelation
+from .mobius import MoebiusElement, transform_relation
+from .relations import RelationError, SemiQuadratic, WeingartenRelation, to_semiquadratic
 
 __all__ = [
     "SemiQuadraticInvariants",
@@ -55,9 +55,8 @@ class SemiQuadraticInvariants:
 def invariants(rel: SemiQuadratic | WeingartenRelation) -> SemiQuadraticInvariants:
     """Lambda1, Lambda2 and the elliptic/hyperbolic/parabolic class."""
     sq = to_semiquadratic(rel)
-    al, be, ga, de = sq.coefficients()
-    lam1 = be - ga
-    lam2 = (be + ga) ** 2 - 4.0 * al * de
+    lam1 = sq.beta - sq.gamma
+    lam2 = sq.lambda2
     gap = lam2 - lam1 ** 2
     if abs(gap) <= PARABOLIC_TOL * max(1.0, lam1 ** 2):
         klass = "parabolic"
@@ -72,10 +71,9 @@ def invariants(rel: SemiQuadratic | WeingartenRelation) -> SemiQuadraticInvarian
 def normalize(rel: SemiQuadratic | WeingartenRelation) -> SemiQuadratic:
     """Scale the coefficients so that Lambda2 = 1 (requires Lambda2 > 0)."""
     sq = to_semiquadratic(rel)
-    lam2 = invariants(sq).lambda2
-    if lam2 <= 0.0:
-        raise RelationError(f"normalization needs Lambda2 > 0; got {lam2}")
-    return sq.scaled(1.0 / math.sqrt(lam2))
+    if sq.lambda2 <= 0.0:
+        raise RelationError(f"normalization needs Lambda2 > 0; got {sq.lambda2}")
+    return sq.normalized()
 
 
 def umbilic_curvatures(rel: SemiQuadratic | WeingartenRelation) -> list[float]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .geometry import RoCProfile
 from .numerics import adaptive_simpson
+from .relations import fixed_points
 
 __all__ = [
     "UmbilicAnalysis",
@@ -84,9 +85,8 @@ def _pole_distance(thetas: np.ndarray, side: str) -> np.ndarray:
 
 def _s_values(profile: RoCProfile, thetas: np.ndarray) -> np.ndarray:
     """r2 - r1 on the ladder, via a direct excess evaluator when available."""
-    s_fn = getattr(profile, "s_fn", None)
-    if s_fn is not None:
-        return np.asarray([float(s_fn(th)) for th in thetas])
+    if profile.s_fn is not None:
+        return np.asarray([float(profile.s_fn(th)) for th in thetas])
     r1 = np.asarray([float(profile.r1_at(th)) for th in thetas])
     r2 = np.asarray([float(profile.r2_at(th)) for th in thetas])
     return r2 - r1
@@ -153,8 +153,7 @@ def umbilic_slope_estimate(profile: RoCProfile, r0: Optional[float] = None,
         for key, val in profile.pole_values.items():
             if abs(key - pole_key) < 1e-9:
                 r0 = 0.5 * (float(val[0]) + float(val[1])) if np.ndim(val) else float(val)
-        if r0 is None and getattr(profile, "relation", None) is not None:
-            from .relations import fixed_points
+        if r0 is None and profile.relation is not None:
             # the umbilic radius may sit outside the observed range when r1
             # diverges at the pole, so search a generous window as well
             lo = max(min(float(r1.min()) - 1.0, -100.0), -1e6)
@@ -167,9 +166,8 @@ def umbilic_slope_estimate(profile: RoCProfile, r0: Optional[float] = None,
         if r0 is None:
             r0, _ = _log_fit(_pole_distance(thetas, side), r1)
 
-    excess_fn = getattr(profile, "r1_excess_fn", None)
-    if excess_fn is not None:
-        denom = np.asarray([float(excess_fn(th)) for th in thetas])
+    if profile.r1_excess_fn is not None:
+        denom = np.asarray([float(profile.r1_excess_fn(th)) for th in thetas])
         good = np.abs(denom) > 1e-280
     else:
         denom = r1 - r0
@@ -210,7 +208,7 @@ def vanishing_rate_estimate(profile: RoCProfile, alpha: float, side: str = "nort
     s = _s_values(profile, thetas)
     noise = _value_noise(profile)
     pole_dist = _pole_distance(thetas, side)
-    if getattr(profile, "s_fn", None) is None:
+    if profile.s_fn is None:
         # drop rungs where r2 - r1 has drowned in interpolation noise
         keep = np.abs(s) > 1e3 * noise
         if keep.sum() < 4:
@@ -351,10 +349,7 @@ def slope_restriction_profile(alpha: float, delta: float, r0: float = 1.0,
 
     grid = np.geomspace(1e-7, theta_max, 160)
     vals = evaluator(grid)
-    prof = RoCProfile(grid, vals[0], vals[1], evaluator=evaluator,
-                      pole_values={0.0: (r0, r0)},
+    return RoCProfile(grid, vals[0], vals[1], evaluator=evaluator,
+                      pole_values={0.0: (r0, r0)}, s_fn=s_of, r1_excess_fn=excess_of,
                       meta={"fixture": f"sin^{alpha} * ln(2csc)^{delta}",
                             "value_noise": 1e-13})
-    prof.s_fn = s_of
-    prof.r1_excess_fn = excess_of
-    return prof

@@ -210,12 +210,6 @@ class Multiplier:
         F = float(eval_F_float(rel, u))
         return math.exp(self.J(u)) / abs(u - F)
 
-    def phi0_prime(self, u: float) -> float:
-        """d(Phi0)/du = Phi0 * F'/(u - F) exactly."""
-        u = float(self._check(u))
-        F = float(eval_F_float(self.rel, u))
-        return self.phi0(u) * eval_F_prime(self.rel, u) / (u - F)
-
     def G1(self, u: float) -> float:
         """The inner antiderivative of Phi0: G1(u) = (u - F(u)) * Phi0(u).
 

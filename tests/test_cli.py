@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from weingarten import MoebiusElement, parse_relation, transform_relation
 from weingarten.cli import main
 from weingarten.profile_io import read_profile_csv
 
@@ -87,6 +88,23 @@ class TestTransformCmd:
         assert rc == 0
         bundle = read_profile_csv(out)
         assert np.allclose(bundle.r1, -0.5, atol=1e-8)
+
+    def test_image_csv_carries_transported_relation(self, tmp_path, capsys):
+        src = os.path.join(tmp_path, "src.csv")
+        img = os.path.join(tmp_path, "img.csv")
+        assert run(["integrate", "--relation", "r2 = 3*r1 - 2", "--r1", "1.5",
+                    "--grid-step", "0.01", "--output", src,
+                    "--report", os.path.join(tmp_path, "src.json")]) == 0
+        assert run(["transform", "--input", src, "--matrix", "[1, 0.5, 0, 1]",
+                    "--output", img, "--report", os.path.join(tmp_path, "img.json")]) == 0
+        meta = read_profile_csv(img).metadata
+        want = transform_relation(MoebiusElement(1.0, 0.5, 0.0, 1.0),
+                                  parse_relation("r2 = 3*r1 - 2"))
+        assert parse_relation(meta["relation"]) == want
+        assert meta["transform_of"] == "r2 = 3*r1 - 2"
+        assert run(["report", "--input", img]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["umbilic"]["slope"] == pytest.approx(3.0, abs=5e-2)
 
     def test_bad_determinant_exit_1(self, hopf_csv):
         csv, _ = hopf_csv

@@ -6,7 +6,9 @@ import sympy as sp
 
 from weingarten import (
     GaussAngle,
+    LinearHopf,
     RoCProfile,
+    StepControl,
     SupportProfile,
     cm_residual,
     curvatures_from_support,
@@ -201,6 +203,47 @@ def test_translation_invariance_of_curvatures(rng):
         p1 = curvatures_from_support(s1)
         assert np.allclose(p0.r1, p1.r1, atol=1e-10)
         assert np.allclose(p0.r2, p1.r2, atol=1e-10)
+
+
+class TestDeclaredFields:
+    def test_undeclared_attribute_rejected(self):
+        with pytest.raises(AttributeError):
+            two_sine_profile().relation_text = "r2 = 2*r1"
+        with pytest.raises(AttributeError):
+            support_from_sympy("2.5", GRID).anchor = 0.0
+
+    def test_restricted_carries_declared_fields(self):
+        fields = {"relation": LinearHopf(2.0, 0.0), "support": support_from_sympy("2.5", GRID),
+                  "s_fn": math.sin, "r1_excess_fn": math.cos}
+        prof = RoCProfile(GRID, np.sin(GRID), 2.0 * np.sin(GRID), **fields)
+        sub = prof.restricted(0.5, 2.0)
+        for name, value in fields.items():
+            assert getattr(sub, name) is value, name
+
+    def test_integrated_support_makes_one_callback_call_per_array(self, monkeypatch):
+        prof = integrate_cm(LinearHopf(2.0, 0.0), math.pi / 2.0, 1.0,
+                            step_control=StepControl(grid_step=0.01))
+        s = prof.support
+        for method, callback in (("value", "r_fun"), ("rdot", "rdot_fun"),
+                                 ("rddot", "rddot_fun")):
+            calls = []
+            inner = getattr(s, callback)
+            monkeypatch.setattr(s, callback, lambda th, f=inner: calls.append(th) or f(th))
+            got = getattr(s, method)(prof.grid)
+            assert len(calls) == 1, method
+            pointwise = np.array([getattr(s, method)(float(th)) for th in prof.grid])
+            # one array dense query against one query per point: the
+            # interpolant's dot products may round differently (<= 1 ulp)
+            assert np.max(np.abs(got - pointwise)) <= 4.5e-16 * np.max(np.abs(pointwise)), method
+
+    def test_from_callables_answers_scalars_and_arrays(self):
+        s = SupportProfile.from_callables(GRID, lambda t: 2.0 + math.sin(t), math.cos,
+                                          lambda t: 0.0)
+        assert isinstance(s.value(0.5), float)
+        assert s.value(0.5) == 2.0 + math.sin(0.5)
+        assert np.array_equal(s.r, 2.0 + np.sin(GRID))
+        assert np.array_equal(s.rdot(GRID), np.cos(GRID))
+        assert np.array_equal(s.rddot(GRID[:3]), np.zeros(3))
 
 
 def test_gauss_angle_validation():

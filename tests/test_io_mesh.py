@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -17,6 +18,7 @@ from weingarten import (
     write_profile_csv,
 )
 from weingarten.geometry import ProfileCurve3D
+from weingarten import profile_io
 from weingarten.meshing import RevolvedMesh, export_obj
 from weingarten.profile_io import ProfileBundle
 
@@ -65,6 +67,27 @@ class TestCsvRoundTrip:
         prof = read_profile_csv(path).roc_profile()
         res = cm_residual(prof.restricted(0.05, math.pi - 0.05))
         assert np.max(np.abs(res)) <= 1e-8
+
+    def test_round_trip_carries_relation(self, tmp_path, sphere_bundle):
+        path = os.path.join(tmp_path, "sphere.csv")
+        write_profile_csv(path, sphere_bundle)
+        assert read_profile_csv(path).roc_profile().relation == PureKLinear(1.0)
+
+    @pytest.mark.parametrize("text", ["r2 == r1", "r1 = k1"])
+    def test_unparsable_relation_loads_without_relation(self, tmp_path, sphere_bundle, text):
+        path = os.path.join(tmp_path, "sphere.csv")
+        write_profile_csv(path, dataclasses.replace(sphere_bundle, metadata={"relation": text}))
+        bundle = read_profile_csv(path)
+        assert bundle.metadata["relation"] == text
+        assert bundle.roc_profile().relation is None
+
+    def test_unexpected_parse_failure_propagates(self, monkeypatch, sphere_bundle):
+        def broken(text):
+            raise TypeError("not a parse failure")
+
+        monkeypatch.setattr(profile_io, "parse_relation", broken)
+        with pytest.raises(TypeError):
+            sphere_bundle.roc_profile()
 
     def test_empty_file_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "empty.csv")

@@ -1,4 +1,8 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from weingarten import (
     transform_relation,
     verify_transform_properties,
 )
+import weingarten
 from weingarten.mobius import EmptyDomainError, to_semiquadratic
 from weingarten.projective import ExtReal
 from conftest import random_moebius
@@ -196,6 +201,13 @@ class TestInducedSurface:
         assert out.kind == "cone"
 
 
+    def test_image_carries_transported_relation(self):
+        rel = LinearHopf(3.0, -2.0)
+        prof = integrate_cm(rel, math.pi / 2.0, 1.5, (0.05, math.pi - 0.05))
+        M = MoebiusElement(1.0, 0.5, 0.0, 1.0)
+        assert induced_surface(M, prof).profile.relation == transform_relation(M, rel)
+
+
 class TestReciprocalClosed:
     def test_sphere_radius_inverts(self, sphere2):
         out = reciprocal_transform_closed(sphere2)
@@ -317,3 +329,32 @@ class TestAdsInvariants:
                             (0.2, math.pi - 0.2))
         with pytest.raises(ValueError):
             ads_invariants(prof)
+
+
+PACKAGE_DIR = os.path.dirname(weingarten.__file__)
+
+
+@pytest.mark.parametrize("module", ["weingarten.semiquadratic", "weingarten.mobius"])
+def test_module_imports_in_fresh_interpreter(module):
+    path = os.pathsep.join(filter(None, [os.path.dirname(PACKAGE_DIR),
+                                         os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", f"import {module}"], check=True,
+                   env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_no_function_level_imports():
+    """mobius and semiquadratic import each other only at module top (one way).
+
+    The one function-level import left is brentq in mobius: the benchmark's
+    layer tracer patches scipy.optimize.brentq and relies on the call-time lookup.
+    """
+    found = {}
+    for name in ("mobius", "semiquadratic", "cli"):
+        with open(os.path.join(PACKAGE_DIR, f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        found[name] = sorted(
+            (node.module or "", alias.name)
+            for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names)
+    assert found == {"mobius": [("scipy.optimize", "brentq")], "semiquadratic": [], "cli": []}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from weingarten import (
     parse_relation,
     render_relation,
 )
+from weingarten.relations import eval_F_float
 from weingarten.projective import INF, ExtReal
 from weingarten.relations import RelationError
 
@@ -85,6 +87,16 @@ class TestEvalF:
         assert eval_F(LinearHopf(2.0, 1.0), INF).is_inf
         rel = SemiQuadratic(0.0, 1.0, 1.0, -4.0)
         assert float(eval_F(rel, INF)) == pytest.approx(0.25)
+
+    def test_flat_pure_k_linear_float_path_matches(self):
+        # k2 = 0: the array path gives 0 at u = 0 and infinity elsewhere, without warnings
+        rel = PureKLinear(0.0)
+        u = np.array([0.0, 1.0, -2.0])
+        want = [float(eval_F(rel, x)) for x in u]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert eval_F_float(rel, u).tolist() == want
+            assert [float(eval_F_float(rel, x)) for x in u] == want
 
 
 class TestEvalFPrime:
