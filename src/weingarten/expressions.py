@@ -12,16 +12,20 @@ Grammar (whitespace-insensitive)::
     func     := 'sin' | 'cos' | 'ln' | 'exp' | 'abs' | 'sqrt'
 
 Numbers parsed from integer/decimal literals keep an exact Fraction so
-that canonical-family detection ("r2 = 3*r1 - 5") is exact.  Evaluation
-raises EvalDomainError instead of returning NaN.
+that canonical-family detection ("r2 = 3*r1 - 5") is exact.  A tree is
+evaluated by compiling it once into a numpy function (``compile_expr``)
+that reports poles and domain exits as masks instead of returning NaN.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 __all__ = [
     "ParseError",
@@ -242,54 +246,99 @@ def parse_equation(text: str) -> tuple[Expr, Expr]:
 # evaluation / differentiation / rendering
 
 
+_NUMPY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.absolute,
+                "ln": np.log, "sqrt": np.sqrt}
+# the arguments outside each function's domain
+_OUTSIDE = {"ln": lambda a: a <= 0.0, "sqrt": lambda a: a < 0.0}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def compile_expr(node: Expr, variables: tuple[str, ...] = ("r1",)) -> Callable:
+    """Compile a tree once into one numpy function of ``variables``.
+
+    The function takes one float array (any shape) or numpy scalar per
+    variable and returns ``(value, pole, outside)``: the value, the mask
+    where a denominator vanished, and the mask where ln, sqrt or a power
+    left its domain (ln of <= 0, sqrt of < 0, 0 to a negative power, a
+    negative base to a fractional power).  Values at masked points are
+    meaningless.  Call it under ``np.errstate(all="ignore")``, so that
+    overflow gives inf without warnings.  A variable outside
+    ``variables`` raises EvalDomainError.
+    """
+    unbound = sorted(expr_variables(node) - set(variables))
+    if unbound:
+        raise EvalDomainError(f"variable {unbound[0]} not bound")
+
+    # each node becomes a closure f(args, poles, outside) that returns its
+    # value and appends the masks of its divisions and domain checks
+    def build(n: Expr) -> Callable:
+        if isinstance(n, Var):
+            i = variables.index(n.name)
+            return lambda args, poles, outside: args[i]
+        if isinstance(n, Const):
+            # a numpy scalar, so that constant subtrees follow numpy's rules too
+            c = np.float64(n.value)
+            return lambda args, poles, outside: c
+        if isinstance(n, Func) and n.name in _NUMPY_FUNCS:
+            f, arg, check = _NUMPY_FUNCS[n.name], build(n.arg), _OUTSIDE.get(n.name)
+            if check is None:
+                return lambda args, poles, outside: f(arg(args, poles, outside))
+
+            def checked(args, poles, outside):
+                a = arg(args, poles, outside)
+                outside.append(check(a))
+                return f(a)
+            return checked
+        if isinstance(n, BinOp) and n.op == "^":
+            base, p = build(n.left), np.float64(n.right.value)  # type: ignore[union-attr]
+            negative, fractional = bool(p < 0.0), bool(p != int(p))
+
+            def power(args, poles, outside):
+                a = base(args, poles, outside)
+                if negative:
+                    outside.append(a == 0.0)
+                if fractional:
+                    outside.append(a < 0.0)
+                return np.power(a, p)
+            return power
+        if isinstance(n, BinOp) and n.op == "/":
+            num, den = build(n.left), build(n.right)
+
+            def divide(args, poles, outside):
+                a, b = num(args, poles, outside), den(args, poles, outside)
+                poles.append(b == 0.0)
+                return a / b
+            return divide
+        if isinstance(n, BinOp) and n.op in _ARITHMETIC:
+            op, left, right = _ARITHMETIC[n.op], build(n.left), build(n.right)
+            return lambda args, poles, outside: op(left(args, poles, outside), right(args, poles, outside))
+        raise ValueError(f"not an expression node: {n!r}")
+
+    root = build(node)
+
+    def compiled(*args):
+        poles: list = []
+        outside: list = []
+        value = root(args, poles, outside)
+        return value, functools.reduce(operator.or_, poles, np.False_), \
+            functools.reduce(operator.or_, outside, np.False_)
+    return compiled
+
+
 def eval_expr(node: Expr, env: dict) -> float:
-    if isinstance(node, Const):
-        return float(node.value)
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise EvalDomainError(f"variable {node.name} not bound")
-        return float(env[node.name])
-    if isinstance(node, BinOp):
-        a = eval_expr(node.left, env)
-        if node.op == "^":
-            b = float(node.right.value)  # type: ignore[union-attr]
-            if a == 0.0 and b < 0:
-                raise EvalDomainError("0 raised to a negative power")
-            if a < 0.0 and b != int(b):
-                raise EvalDomainError("negative base with non-integer exponent")
-            return a ** b
-        b = eval_expr(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise ZeroDivisionError("division by zero in expression")
-            return a / b
-        raise ValueError(f"unknown operator {node.op}")
-    if isinstance(node, Func):
-        a = eval_expr(node.arg, env)
-        if node.name == "sin":
-            return math.sin(a)
-        if node.name == "cos":
-            return math.cos(a)
-        if node.name == "ln":
-            if a <= 0.0:
-                raise EvalDomainError("ln of a non-positive value")
-            return math.log(a)
-        if node.name == "exp":
-            return math.exp(a)
-        if node.name == "abs":
-            return abs(a)
-        if node.name == "sqrt":
-            if a < 0.0:
-                raise EvalDomainError("sqrt of a negative value")
-            return math.sqrt(a)
-        raise ValueError(f"unknown function {node.name}")
-    raise TypeError(f"not an expression node: {node!r}")
+    """Evaluate at the point ``env`` through :func:`compile_expr`.
+
+    Raises ZeroDivisionError at a pole and EvalDomainError outside the
+    domain or for an unbound variable.  Compiles on every call.
+    """
+    fn = compile_expr(node, tuple(env))
+    with np.errstate(all="ignore"):
+        value, pole, outside = fn(*(np.asarray(v, dtype=float) for v in env.values()))
+    if pole:
+        raise ZeroDivisionError("division by zero in expression")
+    if outside:
+        raise EvalDomainError("expression left its domain")
+    return float(value)
 
 
 def diff_expr(node: Expr, var: str) -> Expr:
@@ -338,9 +387,33 @@ def diff_expr(node: Expr, var: str) -> Expr:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _is_negation(node: Expr) -> bool:
+    """The parser's form of a unary minus: (-1) * x."""
+    return (isinstance(node, BinOp) and node.op == "*"
+            and isinstance(node.left, Const) and node.left.value == -1)
+
+
+def _magnitude(v: Union[Fraction, float]) -> str:
+    """A non-negative number literal; decimals where that is exact."""
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return str(v.numerator)
+        text = repr(float(v))
+        if "e" not in text and Fraction(text) == v:
+            return text
+        return f"{v.numerator}/{v.denominator}"
+    return repr(float(v))
+
+
 def render_expr(node: Expr) -> str:
-    """Pretty-print in grammar-compatible form (parse . render = identity)."""
+    """Pretty-print in grammar-compatible form.
+
+    parse_expression(render_expr(t)) == t for the trees the parser builds
+    from decimal literals; any other tree comes back with the same values.
+    """
     def prec(n: Expr) -> int:
+        if _is_negation(n):
+            return 2
         if isinstance(n, BinOp):
             return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}[n.op]
         return 4
@@ -354,16 +427,16 @@ def render_expr(node: Expr) -> str:
 
     if isinstance(node, Const):
         v = node.value
-        if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return str(v.numerator) if v >= 0 else f"(0 - {-v.numerator})"
-            if v >= 0:
-                return f"{v.numerator}/{v.denominator}"
-            return f"(0 - {-v.numerator}/{v.denominator})"
-        return repr(float(v)) if v >= 0 else f"(0 - {abs(float(v))!r})"
+        return _magnitude(v) if v >= 0 else f"(0 - {_magnitude(-v)})"
     if isinstance(node, Var):
         return node.name
+    if _is_negation(node):
+        return f"-{wrap(node.right, 3)}"  # type: ignore[union-attr]
     if isinstance(node, BinOp):
+        if node.op == "^":
+            # the exponent is a signed number literal; any operator base needs parentheses
+            expo = node.right.value  # type: ignore[union-attr]
+            return f"{wrap(node.left, 4)} ^ {'-' if expo < 0 else ''}{_magnitude(abs(expo))}"
         p = prec(node)
         return f"{wrap(node.left, p)} {node.op} {wrap(node.right, p, right_side=True)}"
     if isinstance(node, Func):

@@ -35,7 +35,7 @@ from .numerics import (
     derivative_samples,
     derivative_uniform,
 )
-from .projective import ExtReal, INF
+from .projective import ExtReal
 
 __all__ = [
     "POLE_EPS",
@@ -180,9 +180,7 @@ class RoCProfile:
         return len(self.grid)
 
     def point(self, i: int) -> RoCPoint:
-        def wrap(v: float) -> ExtReal:
-            return INF if np.isinf(v) else ExtReal(float(v))
-        return RoCPoint(wrap(self.r1[i]), wrap(self.r2[i]))
+        return RoCPoint(ExtReal(float(self.r1[i])), ExtReal(float(self.r2[i])))
 
     def _spline(self, which: str):
         vals = self.r1 if which == "r1" else self.r2

@@ -26,15 +26,8 @@ from scipy.integrate import solve_ivp
 
 from .geometry import POLE_EPS, RoCProfile, SupportProfile, as_angle, t_of_theta, theta_of_t
 from .numerics import cumulative_quadrature
-from .relations import (
-    LinearHopf,
-    RelationError,
-    SemiQuadratic,
-    WeingartenRelation,
-    eval_F_float,
-    eval_F_prime,
-    render_relation,
-)
+from .expressions import EvalDomainError
+from .relations import RelationError, WeingartenRelation, eval_F_float, eval_F_prime, render_relation
 
 __all__ = [
     "StepControl",
@@ -84,10 +77,19 @@ class StopInfo:
         return ",".join(parts)
 
 
-def _rhs_factory(rel: WeingartenRelation, with_support: bool):
+def _F_or_nan(rel: WeingartenRelation, r1: float, domain_hits: list) -> float:
+    """F(r1), or nan (which makes RK45 reject the step) outside F's domain."""
+    try:
+        return float(eval_F_float(rel, r1))
+    except EvalDomainError:
+        domain_hits.append(r1)
+        return math.nan
+
+
+def _rhs_factory(rel: WeingartenRelation, with_support: bool, domain_hits: list):
     def rhs(t, y):
         r1 = y[0]
-        F = float(eval_F_float(rel, r1))
+        F = _F_or_nan(rel, r1, domain_hits)
         tanh_t = math.tanh(t)
         dr1 = -tanh_t * (F - r1)
         if not with_support:
@@ -98,14 +100,14 @@ def _rhs_factory(rel: WeingartenRelation, with_support: bool):
     return rhs
 
 
-def _events_factory(rel: WeingartenRelation, blowup: float):
+def _events_factory(rel: WeingartenRelation, blowup: float, domain_hits: list):
     def ev_blow(t, y):
         return blowup - abs(y[0])
     ev_blow.terminal = True
 
     def ev_flat(t, y):
-        F = eval_F_float(rel, y[0])
-        val = abs(float(F)) if np.isfinite(F) else np.inf
+        F = _F_or_nan(rel, y[0], domain_hits)
+        val = abs(F) if np.isfinite(F) else np.inf
         return blowup - min(val, 2.0 * blowup)
     ev_flat.terminal = True
     return [ev_blow, ev_flat]
@@ -176,8 +178,14 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
     else:
         y0 = [float(r1_0)]
 
-    rhs = _rhs_factory(rel, with_support)
-    events = _events_factory(rel, sc.blowup)
+    try:
+        eval_F_float(rel, y0[0])
+    except EvalDomainError as exc:
+        # a nan right-hand side at the start point would stall RK45's first step
+        raise IntegrationError(f"F is not defined at r1_0 = {y0[0]!r}: {exc}") from exc
+    domain_hits: list[float] = []
+    rhs = _rhs_factory(rel, with_support, domain_hits)
+    events = _events_factory(rel, sc.blowup, domain_hits)
 
     stop = StopInfo()
     sols = {}
@@ -186,6 +194,7 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         if (side == "left" and t_end >= t0 - 1e-15) or (side == "right" and t_end <= t0 + 1e-15):
             reached[side] = t0
             continue
+        domain_hits.clear()
         try:
             sol = solve_ivp(rhs, (t0, t_end), y0, method="RK45",
                             rtol=sc.rtol, atol=sc.atol,
@@ -196,7 +205,8 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
             which = "blow_up" if len(sol.t_events[0]) else "f_domain_exit"
             setattr(stop, side, which)
         elif sol.status != 0:
-            setattr(stop, side, "step_underflow")
+            # the steps shrank at the edge of F's domain, or for another reason
+            setattr(stop, side, "f_domain_exit" if domain_hits else "step_underflow")
         sols[side] = sol
         reached[side] = float(sol.t[-1])
 

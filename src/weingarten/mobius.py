@@ -37,6 +37,7 @@ from .relations import (
     RelationError,
     SemiQuadratic,
     WeingartenRelation,
+    _F_prime_or_nan,
     eval_F_prime,
     to_semiquadratic,
 )
@@ -594,18 +595,16 @@ def verify_transform_properties(M: MoebiusElement, profile: RoCProfile,
 
     rel = profile.relation
     if rel is not None and img.relation is not None:
-        sgn_src = []
-        sgn_img = []
-        for th, r1v in zip(theta_src[:: max(1, len(theta_src) // 32)],
-                           r1s[:: max(1, len(theta_src) // 32)]):
-            try:
-                sgn_src.append(math.copysign(1.0, -eval_F_prime(rel, r1v)))
-                r1i = float(frac_linear_array(M.a, M.b, M.c, M.d, np.array([r1v]))[0])
-                sgn_img.append(math.copysign(1.0, -eval_F_prime(img.relation, r1i)))
-            except ArithmeticError:
-                continue
-        if sgn_src and len(sgn_src) == len(sgn_img):
-            result["ellipticity_sign_preserved"] = bool(np.all(np.array(sgn_src) == np.array(sgn_img)))
+        step = max(1, len(theta_src) // 32)
+        r1v = r1s[::step]
+        r1i = frac_linear_array(M.a, M.b, M.c, M.d, r1v)
+        # samples where either F' is undefined are skipped
+        slope_src = _F_prime_or_nan(rel, r1v)
+        slope_img = _F_prime_or_nan(img.relation, r1i)
+        ok = ~(np.isnan(slope_src) | np.isnan(slope_img))
+        if ok.any():
+            result["ellipticity_sign_preserved"] = bool(np.all(
+                np.copysign(1.0, -slope_src[ok]) == np.copysign(1.0, -slope_img[ok])))
 
     try:
         src_est = umbilic_slope_estimate(profile)
@@ -682,7 +681,7 @@ def ads_invariants(profile: RoCProfile, n_samples: int = 200) -> AdsInvariants:
     r2 = np.asarray(profile.r2_at(theta), dtype=float)
     if rel is not None:
         dr1 = (r2 - r1) / np.tan(theta)
-        dr2 = np.array([eval_F_prime(rel, v) for v in r1]) * dr1
+        dr2 = eval_F_prime(rel, r1) * dr1
     else:
         dr1 = derivative_samples(theta, r1)
         dr2 = derivative_samples(theta, r2)

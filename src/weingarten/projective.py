@@ -6,8 +6,8 @@ points (r2 = inf) and planes (r1 = r2 = inf) are ordinary values.  All
 arithmetic with infinity follows the fractional-linear convention
 (a*inf + b)/(c*inf + d) = a/c.
 
-Array code represents the point at infinity as ``np.inf``; negative
-infinities are canonicalized to ``np.inf`` on construction.
+Array code represents the point at infinity as ``np.inf`` and returns no
+``-np.inf``; an ExtReal built from an infinite float is ``INF``.
 """
 
 from __future__ import annotations
@@ -27,12 +27,18 @@ class ProjectiveError(ArithmeticError):
 class ExtReal:
     """A point of the projectively extended real line.
 
-    ``ExtReal(x)`` wraps a finite float; ``ExtReal.infinity()`` (or the
-    module constant ``INF``) is the single point at infinity.
+    ``ExtReal(x)`` wraps a float; ``ExtReal.infinity()`` (or the module
+    constant ``INF``) is the single point at infinity, and so is
+    ``ExtReal(x)`` for an infinite x.
     """
 
     value: float
     infinite: bool = False
+
+    def __post_init__(self):
+        if np.isinf(self.value):
+            object.__setattr__(self, "value", 0.0)
+            object.__setattr__(self, "infinite", True)
 
     @staticmethod
     def infinity() -> "ExtReal":
@@ -74,63 +80,34 @@ INF = ExtReal.infinity()
 
 
 def frac_linear(a: float, b: float, c: float, d: float, x: ExtReal | float) -> ExtReal:
-    """Evaluate (a*x + b)/(c*x + d) projectively.
+    """Evaluate (a*x + b)/(c*x + d) projectively at one point.
 
-    x = inf maps to a/c (or inf when c = 0 and a != 0); a vanishing
-    denominator maps to inf.  The genuinely undefined case (both
-    numerator and denominator zero, or a singular matrix at infinity)
-    raises ProjectiveError.
+    The conventions of :func:`frac_linear_array`, except that the genuinely
+    undefined case (numerator and denominator both zero, or a singular
+    matrix at infinity) raises ProjectiveError.
     """
-    if isinstance(x, ExtReal):
-        if x.is_inf:
-            if c != 0.0:
-                return ExtReal(a / c)
-            if a != 0.0:
-                return ExtReal.infinity()
-            raise ProjectiveError("0/0 at infinity in fractional-linear map")
-        x = x.value
-    elif np.isinf(x):
-        if c != 0.0:
-            return ExtReal(a / c)
-        if a != 0.0:
-            return ExtReal.infinity()
-        raise ProjectiveError("0/0 at infinity in fractional-linear map")
-    num = a * x + b
-    den = c * x + d
-    if den == 0.0:
-        if num == 0.0:
-            raise ProjectiveError("0/0 in fractional-linear map")
-        return ExtReal.infinity()
-    return ExtReal(num / den)
+    x = float(x)
+    if (a == c == 0.0) if np.isinf(x) else (a * x + b == 0.0 and c * x + d == 0.0):
+        raise ProjectiveError("0/0 in fractional-linear map")
+    out = float(frac_linear_array(a, b, c, d, x))
+    return INF if np.isinf(out) else ExtReal(out)
 
 
 def frac_linear_array(a: float, b: float, c: float, d: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized fractional-linear map; np.inf is the point at infinity."""
+    """Vectorized fractional-linear map; np.inf is the point at infinity.
+
+    x = inf maps to a/c (or inf when c = 0); a vanishing denominator maps
+    to inf, 0/0 included.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    inf_mask = np.isinf(x)
-    fin = ~inf_mask
-    num = a * x[fin] + b
-    den = c * x[fin] + d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / den
-    vals[den == 0.0] = np.inf
-    out[fin] = vals
-    if inf_mask.any():
-        out[inf_mask] = a / c if c != 0.0 else np.inf
+    with np.errstate(all="ignore"):
+        den = c * x + d
+        out = np.where(den == 0.0, np.inf, (a * x + b) / den)
+    out = np.where(np.isinf(x), a / c if c != 0.0 else np.inf, out)
     # single unsigned infinity
-    out[np.isinf(out)] = np.inf
-    return out
+    return np.where(np.isinf(out), np.inf, out)
 
 
 def proj_reciprocal(x: np.ndarray) -> np.ndarray:
     """Pointwise projective reciprocal: 1/0 = inf, 1/inf = 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    inf_mask = np.isinf(x)
-    zero_mask = x == 0.0
-    rest = ~(inf_mask | zero_mask)
-    out[inf_mask] = 0.0
-    out[zero_mask] = np.inf
-    out[rest] = 1.0 / x[rest]
-    return out
+    return frac_linear_array(0.0, 1.0, 1.0, 0.0, x)

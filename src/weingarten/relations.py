@@ -11,6 +11,12 @@ surface.  The canonical families:
 
 The semi-quadratic family is stored in curvature coefficients; its
 radii-of-curvature form is the fractional-linear F(u) = -(g*u + a)/(d*u + b).
+
+``eval_F_float`` is the one evaluation of F, on floats or arrays, with
+np.inf as the only infinity: poles and overflow give np.inf.  An explicit
+relation compiles its tree and its derivative once (cached on the
+relation); leaving their domain raises EvalDomainError.  ``eval_F`` and
+``eval_F_prime`` are thin wrappers with the same conventions.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -28,11 +35,9 @@ from .expressions import (
     Const,
     EvalDomainError,
     Expr,
-    Func,
-    ParseError,
     Var,
 )
-from .projective import INF, ExtReal
+from .projective import INF, ExtReal, frac_linear_array
 
 __all__ = [
     "LinearHopf",
@@ -114,6 +119,16 @@ class ExplicitF:
     """r2 = f(r1) for an arbitrary expression tree in r1."""
 
     expr: Expr
+
+    @cached_property
+    def compiled(self):
+        """The tree as one numpy function of r1 (``expressions.compile_expr``)."""
+        return ex.compile_expr(self.expr)
+
+    @cached_property
+    def compiled_prime(self):
+        """The derivative tree d/dr1, compiled the same way."""
+        return ex.compile_expr(ex.diff_expr(self.expr, "r1"))
 
 
 WeingartenRelation = Union[LinearHopf, PureKLinear, SemiQuadratic, CubicRoC, ExplicitF]
@@ -246,90 +261,88 @@ def render_relation(rel: WeingartenRelation) -> str:
 # ---------------------------------------------------------------------------
 # evaluation as r2 = F(r1)
 
-def eval_F(rel: WeingartenRelation, r1: ExtReal | float) -> ExtReal:
-    """r2 = F(r1) with projective conventions at asymptotes.
-
-    SemiQuadratic relations are fractional-linear in the radii:
-    F(u) = -(gamma*u + alpha)/(delta*u + beta).
-    """
-    if isinstance(rel, SemiQuadratic):
-        from .projective import frac_linear
-
-        a, b, g, d = rel.coefficients()
-        return frac_linear(-g, -a, d, b, r1)
-    if isinstance(r1, ExtReal):
-        if r1.is_inf:
-            if isinstance(rel, LinearHopf):
-                return INF if rel.lam != 0 else ExtReal(rel.C)
-            if isinstance(rel, (PureKLinear, CubicRoC)):
-                return INF
-            raise EvalDomainError("explicit relation not defined at infinity")
-        u = r1.value
-    else:
-        u = float(r1)
-    if isinstance(rel, LinearHopf):
-        return ExtReal(rel.lam * u + rel.C)
-    if isinstance(rel, PureKLinear):
-        if rel.lam == 0.0:
-            return INF if u != 0.0 else ExtReal(0.0)
-        return ExtReal(u / rel.lam)
-    if isinstance(rel, CubicRoC):
-        return ExtReal(rel.gamma ** 2 * u ** 3)
-    if isinstance(rel, ExplicitF):
-        try:
-            return ExtReal(ex.eval_expr(rel.expr, {"r1": u}))
-        except ZeroDivisionError:
-            return INF
-    raise TypeError(f"not a relation: {rel!r}")
+def _any(mask) -> bool:
+    """mask.any() for a bool array, without its cost on a numpy bool scalar."""
+    return bool(mask.any() if mask.ndim else mask)
 
 
 def eval_F_float(rel: WeingartenRelation, u):
-    """Vectorizable float version of eval_F; infinities come back as np.inf."""
-    if isinstance(rel, LinearHopf):
-        return rel.lam * np.asarray(u, dtype=float) + rel.C
-    if isinstance(rel, PureKLinear):
-        u = np.asarray(u, dtype=float)
-        if rel.lam == 0.0:
-            # k2 = 0: as in eval_F, 0 stays 0 and every other radius goes to infinity
-            return np.where(u == 0.0, 0.0, np.inf)[()]
-        return u / rel.lam
-    if isinstance(rel, CubicRoC):
-        return rel.gamma ** 2 * np.asarray(u, dtype=float) ** 3
-    if isinstance(rel, SemiQuadratic):
-        from .projective import frac_linear_array
+    """r2 = F(r1) on a float or an array of floats; the one F implementation.
 
-        a, b, g, d = rel.coefficients()
-        return frac_linear_array(-g, -a, d, b, np.asarray(u, dtype=float))
-    if isinstance(rel, ExplicitF):
-        arr = np.asarray(u, dtype=float)
-        if arr.ndim == 0:
-            return float(eval_F(rel, float(arr)))
-        return np.array([float(eval_F(rel, x)) for x in arr])
-    raise TypeError(f"not a relation: {rel!r}")
+    np.inf is the point at infinity: a pole of F and an overflow give
+    np.inf, never -np.inf.  SemiQuadratic relations are fractional-linear,
+    F(u) = -(gamma*u + alpha)/(delta*u + beta), and give np.inf where that
+    reads 0/0.  An explicit relation raises EvalDomainError at infinity and
+    where its tree leaves its domain.  A float comes back as a float.
+    """
+    u = np.asarray(u, dtype=float)[()]  # one point becomes a numpy scalar: the fast path
+    with np.errstate(all="ignore"):
+        if isinstance(rel, LinearHopf):
+            # lam = 0 is the constant C, at infinity too
+            out = rel.lam * u + rel.C if rel.lam != 0.0 else np.full(u.shape, float(rel.C))
+        elif isinstance(rel, PureKLinear):
+            # k2 = 0: 0 stays 0 and every other radius goes to infinity
+            out = u / rel.lam if rel.lam != 0.0 else np.where(u == 0.0, 0.0, np.inf)
+        elif isinstance(rel, CubicRoC):
+            out = np.where(np.isinf(u), np.inf, rel.gamma ** 2 * np.power(u, 3))
+        elif isinstance(rel, SemiQuadratic):
+            a, b, g, d = rel.coefficients()
+            out = frac_linear_array(-g, -a, d, b, u)
+        elif isinstance(rel, ExplicitF):
+            if _any(np.isinf(u)):
+                raise EvalDomainError("explicit relation not defined at infinity")
+            out, pole, outside = rel.compiled(u)
+            if u.size and _any(outside & ~pole):
+                raise EvalDomainError("explicit relation left its domain")
+            if _any(pole):
+                out = np.where(pole, np.inf, out)
+        else:
+            raise TypeError(f"not a relation: {rel!r}")
+    if u.ndim == 0:
+        out = float(out)
+        return np.inf if out == -np.inf else out
+    return np.where(out == -np.inf, np.inf, np.broadcast_to(out, u.shape))
 
 
-def eval_F_prime(rel: WeingartenRelation, r1: float) -> float:
-    """dF/dr1 by the analytic rule of each variant."""
-    u = float(r1)
-    if isinstance(rel, LinearHopf):
-        return rel.lam
-    if isinstance(rel, PureKLinear):
-        if rel.lam == 0.0:
-            raise EvalDomainError("k2 = 0 relation has no finite F'")
-        return 1.0 / rel.lam
-    if isinstance(rel, CubicRoC):
-        return 3.0 * rel.gamma ** 2 * u ** 2
-    if isinstance(rel, SemiQuadratic):
-        a, b, g, d = rel.coefficients()
-        den = d * u + b
-        if den == 0.0:
-            raise EvalDomainError("F' undefined at the vertical asymptote")
-        # F = -(g*u + a)/(d*u + b)
-        return -(g * b - d * a) / den ** 2
-    if isinstance(rel, ExplicitF):
-        deriv = ex.diff_expr(rel.expr, "r1")
-        return ex.eval_expr(deriv, {"r1": u})
-    raise TypeError(f"not a relation: {rel!r}")
+def eval_F(rel: WeingartenRelation, r1: ExtReal | float) -> ExtReal:
+    """Scalar F on the extended line: eval_F_float with INF for np.inf."""
+    out = eval_F_float(rel, float(r1))
+    return INF if out == np.inf else ExtReal(out)
+
+
+def _F_prime_or_nan(rel: WeingartenRelation, u) -> np.ndarray:
+    """dF/dr1 on a float or an array, nan where it is infinite or undefined."""
+    u = np.asarray(u, dtype=float)[()]
+    with np.errstate(all="ignore"):
+        if isinstance(rel, LinearHopf):
+            out = np.full(u.shape, float(rel.lam))
+        elif isinstance(rel, PureKLinear):
+            out = np.full(u.shape, 1.0 / rel.lam if rel.lam != 0.0 else np.nan)
+        elif isinstance(rel, CubicRoC):
+            out = 3.0 * rel.gamma ** 2 * u ** 2
+        elif isinstance(rel, SemiQuadratic):
+            a, b, g, d = rel.coefficients()
+            # F = -(g*u + a)/(d*u + b); infinite at the vertical asymptote
+            out = -(g * b - d * a) / (d * u + b) ** 2
+        elif isinstance(rel, ExplicitF):
+            # F' is undefined where F is, too (the tree of d ln(a) is 1/a)
+            out, pole, outside = rel.compiled_prime(u)
+            outside = outside | rel.compiled(u)[2]
+            out = np.where(pole | outside | np.isinf(u), np.nan, out)
+        else:
+            raise TypeError(f"not a relation: {rel!r}")
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+def eval_F_prime(rel: WeingartenRelation, r1):
+    """dF/dr1 on a float or an array, by the analytic rule of each variant.
+
+    Raises EvalDomainError if F' is infinite or undefined at any point.
+    """
+    out = _F_prime_or_nan(rel, r1)
+    if _any(np.isnan(out)):
+        raise EvalDomainError("F' is infinite or undefined there")
+    return float(out) if out.ndim == 0 else out
 
 
 def to_semiquadratic(rel: WeingartenRelation) -> SemiQuadratic:
@@ -356,41 +369,36 @@ def fixed_points(rel: WeingartenRelation, bracket: tuple[float, float],
         raise ValueError("bracket must be a nondegenerate finite interval")
 
     def g(u: float) -> float:
-        val = eval_F(rel, u)
-        if val.is_inf:
-            return math.inf
-        return val.value - u
+        return float(eval_F_float(rel, u)) - u
 
     xs = np.linspace(lo, hi, subdivisions + 1)
+    vals = eval_F_float(rel, xs) - xs
+    sign = np.sign(vals)
+    finite = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
     roots: list[float] = []
-    vals = [g(x) for x in xs]
-    for i in range(subdivisions):
-        ga, gb = vals[i], vals[i + 1]
-        if not (math.isfinite(ga) and math.isfinite(gb)):
-            continue
-        if ga == 0.0:
+    for i in np.flatnonzero(finite & ((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))):
+        if vals[i] == 0.0:
             if not roots or abs(xs[i] - roots[-1]) > tol * 10:
                 roots.append(float(xs[i]))
             continue
-        if ga * gb < 0.0:
-            a, b = xs[i], xs[i + 1]
-            fa = ga
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = g(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            root = 0.5 * (a + b)
-            # a sign change across a vertical asymptote of F is not a root
-            if abs(g(root)) > 1e-6 * max(1.0, abs(root)):
-                continue
-            if not roots or abs(root - roots[-1]) > tol * 10:
-                roots.append(float(root))
+        a, b = xs[i], xs[i + 1]
+        fa = float(vals[i])
+        while b - a > tol:
+            m = 0.5 * (a + b)
+            fm = g(m)
+            if fm == 0.0:
+                a = b = m
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        root = 0.5 * (a + b)
+        # a sign change across a vertical asymptote of F is not a root
+        if abs(g(root)) > 1e-6 * max(1.0, abs(root)):
+            continue
+        if not roots or abs(root - roots[-1]) > tol * 10:
+            roots.append(float(root))
     if vals[-1] == 0.0 and (not roots or abs(xs[-1] - roots[-1]) > tol * 10):
         roots.append(float(xs[-1]))
     return roots

@@ -26,7 +26,7 @@ where r1(C, theta) inverts C = exp(-J(x))/sin(theta) at fixed C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -40,7 +40,6 @@ from .relations import (
     LinearHopf,
     PureKLinear,
     RelationError,
-    SemiQuadratic,
     WeingartenRelation,
     eval_F_float,
     eval_F_prime,
@@ -511,6 +510,7 @@ def euler_lagrange_residual(spec: LagrangianSpec, rel: WeingartenRelation,
         thetas = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 25)
     el = np.full(len(thetas), np.nan)
     mf = np.full(len(thetas), np.nan)
+    r1, phis, rdd_plus_r = np.full((3, len(thetas)), np.nan)
     skipped = np.zeros(len(thetas), dtype=bool)
     needs_mult = isinstance(spec, (L0Spec, GeneralSpec))
     for i, th in enumerate(np.asarray(thetas, dtype=float)):
@@ -528,8 +528,11 @@ def euler_lagrange_residual(spec: LagrangianSpec, rel: WeingartenRelation,
             continue
         el[i] = (parts["L_rdot_rdot"] * rdd + parts["L_r_rdot"] * rd
                  + parts["L_theta_rdot"] - parts["L_r"])
-        F = float(eval_F_float(rel, rd / math.tan(th) + r))
-        mf[i] = phi * (rdd + r - F)
+        r1[i] = rd / math.tan(th) + r
+        phis[i] = phi
+        rdd_plus_r[i] = rdd + r
+    kept = ~skipped
+    mf[kept] = phis[kept] * (rdd_plus_r[kept] - eval_F_float(rel, r1[kept]))
     return {"theta": np.asarray(thetas, dtype=float), "el": el,
             "multiplier_form": mf, "defect": el - mf, "skipped": skipped}
 
@@ -547,11 +550,11 @@ def helmholtz_residual(rel: WeingartenRelation,
         Phi_theta + rdot * Phi_r + (F - r) * Phi_rdot + Phi * F' * cot(theta).
     """
     out = np.empty(len(states))
-    for i, st in enumerate(states):
+    r1 = np.array([st.r1 for st in states])
+    slopes = eval_F_prime(rel, r1)
+    values = eval_F_float(rel, r1)
+    for i, (st, Fp, F) in enumerate(zip(states, slopes, values)):
         th, r, rd = st.theta, st.r, st.rdot
-        u = st.r1
-        Fp = eval_F_prime(rel, u)
-        F = float(eval_F_float(rel, u))
         if phi is None:
             out[i] = Fp / math.tan(th)
             continue
@@ -777,12 +780,13 @@ def general_lagrangian(rel: WeingartenRelation,
         # required gauge defect: g1_theta - g2_r must equal
         # Phi*(r''+r-F) - EL(quadrature part), which is rdot-independent
         defects = []
-        for st in states[:: max(1, len(states) // 2)]:
+        sampled = states[:: max(1, len(states) // 2)]
+        values = eval_F_float(rel, np.array([st.r1 for st in sampled]))
+        for st, F in zip(sampled, values):
             rdd = float(trajectory.rddot(st.theta))
             parts = lagrangian_partials(spec, rel, st, mult, analytic=False)
             el_quad = (parts["L_rdot_rdot"] * rdd + parts["L_r_rdot"] * st.rdot
                        + parts["L_theta_rdot"] - parts["L_r"])
-            F = float(eval_F_float(rel, st.r1))
             defects.append(phi(st.theta, st.r, st.rdot) * (rdd + st.r - F) - el_quad)
         report["g_defect_required"] = np.asarray(defects)
     return report

@@ -51,6 +51,10 @@ class TestIntegrateCmd:
         assert run(["integrate", "--relation", "r2 == r1", "--r1", "1.0"]) == 1
         assert "position" in capsys.readouterr().err
 
+    def test_start_outside_the_domain_of_F_exit_2(self, capsys):
+        assert run(["integrate", "--relation", "r2 = sqrt(r1) + 1", "--r1", "-1"]) == 2
+        assert "not defined at r1_0" in capsys.readouterr().err
+
     def test_config_file(self, tmp_path):
         cfg = os.path.join(tmp_path, "cfg.json")
         out = os.path.join(tmp_path, "out.csv")

@@ -12,8 +12,9 @@ from weingarten import (
     cm_residual,
     hopf_closed_form,
     integrate_cm,
+    parse_relation,
 )
-from weingarten.integrate import InconsistentPoleStartError, StepControl
+from weingarten.integrate import InconsistentPoleStartError, IntegrationError, StepControl
 from weingarten.relations import RelationError
 
 
@@ -84,6 +85,20 @@ class TestStopReasons:
                          step_control=StepControl(blowup=1e4))
         assert p.meta["stop_right"] in ("blow_up", "f_domain_exit")
         assert p.theta_max < math.pi - 0.3 - 1e-6
+
+    def test_explicit_relation_leaves_its_domain(self):
+        # r1 runs into 0 on both sides, where sqrt(r1) stops being defined:
+        # the reachable part comes back with the exit named on each side
+        p = integrate_cm(parse_relation("r2 = 3 - sqrt(r1)"), math.pi / 2.0, 0.5)
+        assert p.meta["stop_left"] == p.meta["stop_right"] == "f_domain_exit"
+        assert 0.5 < p.theta_min < 1.2 and 1.9 < p.theta_max < math.pi - 0.5
+        assert 0.0 <= p.r1.min() < 1e-6
+        assert np.array_equal(p.r2, 3.0 - np.sqrt(p.r1))
+
+    def test_start_outside_the_domain_of_F_raises(self):
+        # F(-1) = sqrt(-1) + 1 is undefined: there is no first step to take
+        with pytest.raises(IntegrationError, match="not defined at r1_0"):
+            integrate_cm(parse_relation("r2 = sqrt(r1) + 1"), math.pi / 2.0, -1.0)
 
 
 class TestPoleStart:

@@ -14,6 +14,13 @@ def test_infinity_is_a_single_point():
     assert float(INF) == math.inf
 
 
+def test_infinite_floats_become_the_point_at_infinity():
+    for x in (math.inf, -math.inf):
+        assert ExtReal(x).is_inf and ExtReal(x) == INF and hash(ExtReal(x)) == hash(INF)
+    assert ExtReal(1e-320).reciprocal().is_inf  # 1/1e-320 overflows
+    assert frac_linear(1e300, 0.0, 0.0, 1.0, -1e300).is_inf  # overflow to -inf
+
+
 def test_frac_linear_projective_conventions():
     # (a*inf + b)/(c*inf + d) = a/c
     assert frac_linear(2.0, 5.0, 4.0, 1.0, INF) == ExtReal(0.5)
