@@ -252,8 +252,7 @@ def cmd_variational(config: dict) -> int:
         mult = None
     thetas = np.linspace(th1, th2, 17)
     res = euler_lagrange_residual(spec, rel, traj, thetas=thetas, mult=mult)
-    states = [VariationalState(float(t), float(traj.value(t)), float(traj.rdot(t)))
-              for t in thetas]
+    states = [VariationalState(*p) for p in zip(thetas, traj.value(thetas), traj.rdot(thetas))]
     phi_fn = _phi_of_spec(spec, rel, mult)
     helm = helmholtz_residual(rel, phi_fn, states, mult)
     seed = int(config.get("seed", 0))

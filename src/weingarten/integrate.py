@@ -61,22 +61,6 @@ class StepControl:
     max_points: int = 40000
 
 
-@dataclass
-class StopInfo:
-    left: str = "completed"
-    right: str = "completed"
-
-    def summary(self) -> str:
-        if self.left == self.right == "completed":
-            return "completed"
-        parts = []
-        if self.left != "completed":
-            parts.append(f"left:{self.left}")
-        if self.right != "completed":
-            parts.append(f"right:{self.right}")
-        return ",".join(parts)
-
-
 def _F_or_nan(rel: WeingartenRelation, r1: float, domain_hits: list) -> float:
     """F(r1), or nan (which makes RK45 reject the step) outside F's domain."""
     try:
@@ -178,16 +162,18 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
     else:
         y0 = [float(r1_0)]
 
+    # a nan or infinite right-hand side at the start point would stall RK45's first step
     try:
-        eval_F_float(rel, y0[0])
+        F0 = float(eval_F_float(rel, y0[0]))
     except EvalDomainError as exc:
-        # a nan right-hand side at the start point would stall RK45's first step
         raise IntegrationError(f"F is not defined at r1_0 = {y0[0]!r}: {exc}") from exc
+    if not math.isfinite(F0):
+        raise IntegrationError(f"r1_0 = {y0[0]!r} is a pole of F (F(r1_0) = {F0})")
     domain_hits: list[float] = []
     rhs = _rhs_factory(rel, with_support, domain_hits)
     events = _events_factory(rel, sc.blowup, domain_hits)
 
-    stop = StopInfo()
+    stop = {"left": "completed", "right": "completed"}
     sols = {}
     reached = {}
     for side, t_end in (("left", t_lo), ("right", t_hi)):
@@ -202,11 +188,10 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         except (ArithmeticError, ValueError) as exc:
             raise IntegrationError(f"right-hand side failed during integration: {exc}") from exc
         if sol.status == 1:  # event hit
-            which = "blow_up" if len(sol.t_events[0]) else "f_domain_exit"
-            setattr(stop, side, which)
+            stop[side] = "blow_up" if len(sol.t_events[0]) else "f_domain_exit"
         elif sol.status != 0:
             # the steps shrank at the edge of F's domain, or for another reason
-            setattr(stop, side, "f_domain_exit" if domain_hits else "step_underflow")
+            stop[side] = "f_domain_exit" if domain_hits else "step_underflow"
         sols[side] = sol
         reached[side] = float(sol.t[-1])
 
@@ -252,9 +237,10 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         "relation": render_relation(rel),
         "theta0": theta0,
         "r1_0": float(r1_0),
-        "stop_reason": stop.summary(),
-        "stop_left": stop.left,
-        "stop_right": stop.right,
+        "stop_reason": ",".join(f"{side}:{why}" for side, why in stop.items()
+                                if why != "completed") or "completed",
+        "stop_left": stop["left"],
+        "stop_right": stop["right"],
         "t_range": (t_min, t_max),
         "rtol": sc.rtol,
         "atol": sc.atol,

@@ -20,7 +20,10 @@ f(I, Q) * Phi0 for the two basic first integrals
     I = exp(-J(r1)) / sin(theta),
     Q = [r - r1(I, theta)]/cos(theta) + anchor terms,
 
-where r1(C, theta) inverts C = exp(-J(x))/sin(theta) at fixed C.
+where the level curve x = r1(C, u) of I solves x' = cot(u) (F(x) - x),
+the Codazzi-Mainardi equation itself, through x(theta) = r1.  Multiplier
+methods and the analytic Lagrangian partials take floats or arrays, and
+the checks sample a trajectory once per array of angles.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (no caller; traced by bench/layertrace.py)
 
 from .geometry import POLE_EPS, SupportProfile
-from .numerics import adaptive_simpson
 from .relations import (
     CubicRoC,
     LinearHopf,
@@ -75,7 +77,7 @@ class SingularMultiplierError(ValueError):
 
 @dataclass(frozen=True)
 class VariationalState:
-    """A point (theta, r, dr/dtheta) of the first-order jet."""
+    """A point (theta, r, dr/dtheta) of the first-order jet, or equal-shape arrays of them."""
 
     theta: float
     r: float
@@ -83,12 +85,45 @@ class VariationalState:
 
     def __post_init__(self):
         th = self.theta
-        if not (POLE_EPS <= th <= math.pi - POLE_EPS):
+        if not np.all((POLE_EPS <= th) & (th <= math.pi - POLE_EPS)):
             raise ValueError("variational states must have an interior Gauss angle")
 
     @property
     def r1(self) -> float:
-        return self.rdot / math.tan(self.theta) + self.r
+        return self.rdot / np.tan(self.theta) + self.r
+
+
+def _like(u, values):
+    """``values`` as a float for a scalar ``u``, else as an array."""
+    return float(values) if np.ndim(u) == 0 else values
+
+
+def _closed_forms(rel: WeingartenRelation):
+    """Numpy (J, Phi0, G2) for the relations with a closed-form multiplier, else None."""
+    if isinstance(rel, CubicRoC):
+        g2 = rel.gamma ** 2
+
+        def w(u):
+            return np.abs(1.0 - g2 * u ** 2)
+        return (lambda u: np.log(np.abs(u)) - 0.5 * np.log(w(u)),
+                lambda u: w(u) ** -1.5,
+                lambda u: -np.sqrt(w(u)) / g2)
+    if isinstance(rel, LinearHopf) and not rel.degenerate:
+        lam, C = rel.lam, rel.C
+    elif isinstance(rel, PureKLinear) and rel.lam not in (0.0, 1.0):
+        lam, C = 1.0 / rel.lam, 0.0
+    else:
+        return None
+
+    def g(u):
+        return np.abs((1.0 - lam) * u - C)
+    if abs(lam - 2.0) <= 1e-9:
+        def G2(u):
+            return np.log(g(u)) / (1.0 - lam)
+    else:
+        def G2(u):
+            return g(u) ** ((2.0 - lam) / (1.0 - lam)) / (2.0 - lam)
+    return (lambda u: np.log(g(u)) / (1.0 - lam), lambda u: g(u) ** (lam / (1.0 - lam)), G2)
 
 
 class Multiplier:
@@ -97,7 +132,9 @@ class Multiplier:
     Valid on a fixed-point-free interval around ``base_point``; linear
     Hopf and cubic relations use their closed forms (matching the
     literature normalization), everything else integrates
-    J' = 1/(u - F(u)) densely from the base point.
+    J' = 1/(u - F(u)) densely from the base point.  Every method takes a
+    float (and returns a float) or an array (one dense-output call per
+    side of the base point).
     """
 
     def __init__(self, rel: WeingartenRelation, base_point: float,
@@ -113,9 +150,7 @@ class Multiplier:
             interval = self._enclosing_interval()
         self.interval = (float(interval[0]), float(interval[1]))
         self._dense = None
-        self._closed = isinstance(rel, (LinearHopf, PureKLinear, CubicRoC)) \
-            and not (isinstance(rel, LinearHopf) and rel.degenerate) \
-            and not (isinstance(rel, PureKLinear) and rel.lam in (0.0, 1.0))
+        self._forms = _closed_forms(rel)   # numpy (J, Phi0, G2), or None for numeric J
 
     # -- construction helpers ------------------------------------------------
 
@@ -133,14 +168,6 @@ class Multiplier:
             raise SingularMultiplierError(
                 f"argument outside the fixed-point-free interval {self.interval}")
         return u
-
-    def _hopf_params(self):
-        rel = self.rel
-        if isinstance(rel, LinearHopf):
-            return rel.lam, rel.C
-        if isinstance(rel, PureKLinear):
-            return 1.0 / rel.lam, 0.0
-        raise TypeError
 
     def _dense_J(self):
         if self._dense is None:
@@ -164,123 +191,63 @@ class Multiplier:
             self._dense = sols
         return self._dense
 
-    def _J_and_G2(self, u: float) -> tuple[float, float]:
-        """Numeric (J(u), G2(u)) anchored at the base point."""
-        if u == self.base_point:
-            return 0.0, 0.0
+    def _J_and_G2(self, u: np.ndarray) -> np.ndarray:
+        """Numeric rows (J(u), G2(u)) anchored at the base point."""
+        flat = np.ravel(u)
+        out = np.zeros((2, flat.size))
         sols = self._dense_J()
-        key = u < self.base_point
-        if key not in sols:
-            raise SingularMultiplierError("argument outside the integrated interval")
-        sol = sols[key]
-        tmin, tmax = min(sol.t[0], sol.t[-1]), max(sol.t[0], sol.t[-1])
-        if not (tmin - 1e-12 <= u <= tmax + 1e-12):
-            raise SingularMultiplierError("argument beyond the multiplier's reach")
-        y = sol.sol(u)
-        return float(y[0]), float(y[1])
+        for below, side in ((True, flat < self.base_point), (False, flat > self.base_point)):
+            if not side.any():
+                continue
+            if below not in sols:
+                raise SingularMultiplierError("argument outside the integrated interval")
+            sol = sols[below]
+            tmin, tmax = min(sol.t[0], sol.t[-1]), max(sol.t[0], sol.t[-1])
+            if np.any(flat[side] < tmin - 1e-12) or np.any(flat[side] > tmax + 1e-12):
+                raise SingularMultiplierError("argument beyond the multiplier's reach")
+            out[:, side] = sol.sol(flat[side])
+        return out.reshape((2,) + np.shape(u))
 
     # -- core evaluations ----------------------------------------------------
 
-    def J(self, u: float) -> float:
+    def J(self, u):
         """Antiderivative of 1/(u - F(u)); closed form where available."""
-        u = float(self._check(u))
-        rel = self.rel
-        if self._closed:
-            if isinstance(rel, (LinearHopf, PureKLinear)):
-                lam, C = self._hopf_params()
-                g = (1.0 - lam) * u - C
-                return math.log(abs(g)) / (1.0 - lam)
-            if isinstance(rel, CubicRoC):
-                w = 1.0 - rel.gamma ** 2 * u ** 2
-                return math.log(abs(u)) - 0.5 * math.log(abs(w))
-        return self._J_and_G2(u)[0]
+        x = self._check(u)
+        return _like(u, self._forms[0](x) if self._forms else self._J_and_G2(x)[0])
 
-    def phi0(self, u: float) -> float:
+    def phi0(self, u):
         """Phi0(u) = exp(J(u))/|u - F(u)| (strictly positive)."""
-        u = float(self._check(u))
-        rel = self.rel
-        if self._closed:
-            if isinstance(rel, (LinearHopf, PureKLinear)):
-                lam, C = self._hopf_params()
-                g = (1.0 - lam) * u - C
-                return abs(g) ** (lam / (1.0 - lam))
-            if isinstance(rel, CubicRoC):
-                return abs(1.0 - rel.gamma ** 2 * u ** 2) ** -1.5
-        F = float(eval_F_float(rel, u))
-        return math.exp(self.J(u)) / abs(u - F)
+        x = self._check(u)
+        if self._forms:
+            return _like(u, self._forms[1](x))
+        return _like(u, np.exp(self.J(x)) / np.abs(x - eval_F_float(self.rel, x)))
 
-    def G1(self, u: float) -> float:
+    def G1(self, u):
         """The inner antiderivative of Phi0: G1(u) = (u - F(u)) * Phi0(u).
 
         This is the anchor choice that makes the Euler-Lagrange identity
         for L0 exact (the integration constant must vanish).
         """
-        u = float(self._check(u))
-        F = float(eval_F_float(self.rel, u))
-        return (u - F) * self.phi0(u)
+        x = self._check(u)
+        return _like(u, (x - eval_F_float(self.rel, x)) * self.phi0(x))
 
-    def G2(self, u: float) -> float:
+    def G2(self, u):
         """Outer antiderivative of Phi0 (second antiderivative, convex)."""
-        u = float(self._check(u))
-        rel = self.rel
-        if self._closed:
-            if isinstance(rel, (LinearHopf, PureKLinear)):
-                lam, C = self._hopf_params()
-                g = (1.0 - lam) * u - C
-                if abs(lam - 2.0) <= 1e-9:
-                    return math.log(abs(g)) / (1.0 - lam)
-                p = (2.0 - lam) / (1.0 - lam)
-                return abs(g) ** p / (2.0 - lam)
-            if isinstance(rel, CubicRoC):
-                return -math.sqrt(abs(1.0 - rel.gamma ** 2 * u ** 2)) / rel.gamma ** 2
-        return self._J_and_G2(u)[1]
+        x = self._check(u)
+        return _like(u, self._forms[2](x) if self._forms else self._J_and_G2(x)[1])
 
-    def I_exp(self, u: float) -> float:
+    def I_exp(self, u):
         """exp(int du/(F - u)) = exp(-J(u)) (the angular part of I)."""
-        return math.exp(-self.J(float(self._check(u))))
+        return _like(u, np.exp(-self.J(u)))
 
-    def r1_of_level(self, C: float, theta: float, hint: Optional[float] = None) -> float:
-        """Invert C = exp(-J(x))/sin(theta) for x on the multiplier interval.
 
-        J is monotone on a fixed-point-free interval, so the level set is
-        a single point; the bracket grows geometrically from ``hint``.
-        """
-        target = -math.log(C * math.sin(theta))  # J(x) = target
-        lo, hi = self.interval
-        x0 = hint if hint is not None else self.base_point
-
-        def g(x: float) -> float:
-            return self.J(x) - target
-
-        g0 = g(x0)
-        if g0 == 0.0:
-            return x0
-        # grow toward the side where J moves toward the target
-        step = max(1e-6, 1e-3 * abs(x0))
-        for direction in (+1.0, -1.0):
-            a, fa = x0, g0
-            s = step * direction
-            for _ in range(200):
-                b = a + s
-                if b <= lo:
-                    b = lo + 1e-13 * max(1.0, abs(lo))
-                if b >= hi:
-                    b = hi - 1e-13 * max(1.0, abs(hi))
-                try:
-                    fb = g(b)
-                except SingularMultiplierError:
-                    break
-                if fa * fb <= 0.0:
-                    if fb == 0.0:
-                        return b
-                    lo_b, hi_b = (a, b) if a < b else (b, a)
-                    return brentq(g, lo_b, hi_b, xtol=1e-14, maxiter=200)
-                a, fa = b, fb
-                s *= 2.0
-                if b in (lo + 1e-13 * max(1.0, abs(lo)), hi - 1e-13 * max(1.0, abs(hi))):
-                    break
-        raise SingularMultiplierError(
-            f"could not bracket r1 for first-integral level {C} at theta={theta}")
+def _mult_at(rel: WeingartenRelation, state: VariationalState,
+             mult: Optional[Multiplier]) -> Multiplier:
+    """``mult``, else the multiplier based at the state's (middle) r1."""
+    if mult is not None:
+        return mult
+    r1 = np.ravel(state.r1)
+    return Multiplier(rel, float(r1[len(r1) // 2]))
 
 
 def phi0(rel: WeingartenRelation, u: float, base_point: Optional[float] = None,
@@ -370,24 +337,25 @@ def _phi_of_spec(spec: LagrangianSpec, rel: WeingartenRelation,
 
 def lagrangian_eval(spec: LagrangianSpec, rel: WeingartenRelation,
                     state: VariationalState, mult: Optional[Multiplier] = None) -> float:
-    """Value of the Lagrangian at a first-order jet state."""
+    """Value of the Lagrangian at a first-order jet state, or at a state of arrays."""
     th, r, rd = state.theta, state.r, state.rdot
     if isinstance(spec, L0Spec):
-        if abs(math.cos(th)) < 1e-9:
+        if np.any(np.abs(np.cos(th)) < 1e-9):
             raise SingularMultiplierError("L0 is singular at theta = pi/2")
-        mult = mult or Multiplier(rel, state.r1)
-        return math.tan(th) ** 2 * mult.G2(state.r1)
-    if isinstance(spec, HopfL1Spec):
+        val = np.tan(th) ** 2 * _mult_at(rel, state, mult).G2(state.r1)
+    elif isinstance(spec, HopfL1Spec):
         _require(rel, LinearHopf, "HopfL1")
         lam, C = rel.lam, rel.C
-        return (rd ** 2 + 2.0 * C * r - (1.0 - lam) * r ** 2) / (2.0 * math.sin(th) ** lam)
-    if isinstance(spec, CubicL1Spec):
+        val = (rd ** 2 + 2.0 * C * r - (1.0 - lam) * r ** 2) / (2.0 * np.sin(th) ** lam)
+    elif isinstance(spec, CubicL1Spec):
         _require(rel, CubicRoC, "CubicL1")
-        rho = rd * math.cos(th) + r * math.sin(th)
-        return 1.0 / (2.0 * math.cos(th) ** 2 * rho) + rel.gamma ** 2 * r / math.sin(th) ** 3
-    if isinstance(spec, GeneralSpec):
-        mult = mult or Multiplier(rel, state.r1)
-        phi = _phi_of_spec(spec, rel, mult)
+        rho = rd * np.cos(th) + r * np.sin(th)
+        val = 1.0 / (2.0 * np.cos(th) ** 2 * rho) + rel.gamma ** 2 * r / np.sin(th) ** 3
+    elif isinstance(spec, GeneralSpec) and np.ndim(th) + np.ndim(r) + np.ndim(rd):
+        return np.array([lagrangian_eval(spec, rel, VariationalState(*p), mult)
+                         for p in zip(*np.broadcast_arrays(th, r, rd))])
+    elif isinstance(spec, GeneralSpec):
+        phi = _phi_of_spec(spec, rel, _mult_at(rel, state, mult))
         # nested fixed-order Gauss-Legendre in rdot, anchored at rdot = 0
         nodes, weights = np.polynomial.legendre.leggauss(spec.quad_nodes)
 
@@ -403,8 +371,9 @@ def lagrangian_eval(spec: LagrangianSpec, rel: WeingartenRelation,
             val += spec.g1(th, r) * rd
         if spec.g2 is not None:
             val += spec.g2(th, r)
-        return val
-    raise TypeError(f"unknown Lagrangian spec {spec!r}")
+    else:
+        raise TypeError(f"unknown Lagrangian spec {spec!r}")
+    return _like(val, val)
 
 
 def lagrangian_partials(spec: LagrangianSpec, rel: WeingartenRelation,
@@ -414,84 +383,97 @@ def lagrangian_partials(spec: LagrangianSpec, rel: WeingartenRelation,
 
     Returns {'L_r', 'L_rdot', 'L_rdot_rdot', 'L_r_rdot', 'L_theta_rdot',
     'L_rr'}; analytic rules for the named kinds, centered differences with
-    one Richardson level otherwise (or when analytic=False).
+    one Richardson level otherwise (or when analytic=False).  A state of
+    arrays gives arrays (the analytic rules in one pass, numeric partials
+    state by state).
     """
     th, r, rd = state.theta, state.r, state.rdot
     if analytic and isinstance(spec, L0Spec):
-        mult = mult or Multiplier(rel, state.r1)
+        mult = _mult_at(rel, state, mult)
         u = state.r1
-        tan = math.tan(th)
+        tan = np.tan(th)
         P = mult.phi0(u)
         G1 = mult.G1(u)
-        return {
+        parts = {
             "L_r": tan ** 2 * G1,
             "L_rdot": tan * G1,
             "L_rdot_rdot": P,
             "L_r_rdot": tan * P,
-            "L_theta_rdot": G1 / math.cos(th) ** 2 - tan * P * rd / math.sin(th) ** 2,
+            "L_theta_rdot": G1 / np.cos(th) ** 2 - tan * P * rd / np.sin(th) ** 2,
             "L_rr": tan ** 2 * P,
         }
-    if analytic and isinstance(spec, HopfL1Spec):
+    elif analytic and isinstance(spec, HopfL1Spec):
         _require(rel, LinearHopf, "HopfL1")
         lam, C = rel.lam, rel.C
-        s = math.sin(th) ** lam
-        return {
+        s = np.sin(th) ** lam
+        parts = {
             "L_r": (C - (1.0 - lam) * r) / s,
             "L_rdot": rd / s,
             "L_rdot_rdot": 1.0 / s,
-            "L_r_rdot": 0.0,
-            "L_theta_rdot": -lam * rd / (s * math.tan(th)),
+            "L_r_rdot": 0.0 * s,
+            "L_theta_rdot": -lam * rd / (s * np.tan(th)),
             "L_rr": -(1.0 - lam) / s,
         }
-    if analytic and isinstance(spec, CubicL1Spec):
+    elif analytic and isinstance(spec, CubicL1Spec):
         _require(rel, CubicRoC, "CubicL1")
         g2c = rel.gamma ** 2
-        rho = rd * math.cos(th) + r * math.sin(th)
-        sec = 1.0 / math.cos(th)
-        return {
-            "L_r": -0.5 * sec ** 2 * math.sin(th) / rho ** 2 + g2c / math.sin(th) ** 3,
+        rho = rd * np.cos(th) + r * np.sin(th)
+        sec = 1.0 / np.cos(th)
+        parts = {
+            "L_r": -0.5 * sec ** 2 * np.sin(th) / rho ** 2 + g2c / np.sin(th) ** 3,
             "L_rdot": -0.5 * sec / rho ** 2,
             "L_rdot_rdot": 1.0 / rho ** 3,
-            "L_r_rdot": math.tan(th) / rho ** 3,
-            "L_theta_rdot": (-0.5 * sec * math.tan(th) / rho ** 2
-                             + sec * (r * math.cos(th) - rd * math.sin(th)) / rho ** 3),
-            "L_rr": sec ** 2 * math.sin(th) ** 2 / rho ** 3,
+            "L_r_rdot": np.tan(th) / rho ** 3,
+            "L_theta_rdot": (-0.5 * sec * np.tan(th) / rho ** 2
+                             + sec * (r * np.cos(th) - rd * np.sin(th)) / rho ** 3),
+            "L_rr": sec ** 2 * np.sin(th) ** 2 / rho ** 3,
         }
+    elif np.ndim(th):
+        rows = [lagrangian_partials(spec, rel, VariationalState(*p), mult, analytic=False)
+                for p in zip(th, r, rd)]
+        return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    else:
+        parts = _numeric_partials(spec, rel, state, mult)
+    return {key: _like(th, value) for key, value in parts.items()}
 
-    # numeric partials: Richardson-extrapolated first derivatives, direct
-    # cross/central stencils for the second derivatives (nested FD would
-    # amplify inner-estimate noise by 1/h)
+
+def _numeric_partials(spec: LagrangianSpec, rel: WeingartenRelation,
+                      state: VariationalState, mult: Optional[Multiplier]) -> dict:
+    """Richardson-extrapolated first derivatives of L at one state, and direct
+    cross/central stencils for the second ones (nested FD would amplify
+    inner-estimate noise by 1/h).  Each stencil is one array call of L."""
+    th, r, rd = state.theta, state.r, state.rdot
+
     def L(theta, rr, rrd):
         return lagrangian_eval(spec, rel, VariationalState(theta, rr, rrd), mult)
 
     def d1(fun, x):
         h = 1e-5 * (1.0 + abs(x))
-        a = (fun(x + h) - fun(x - h)) / (2.0 * h)
-        b = (fun(x + h / 2.0) - fun(x - h / 2.0)) / h
-        return (4.0 * b - a) / 3.0
+        f = fun(x + h * np.array([1.0, -1.0, 0.5, -0.5]))
+        return (4.0 * (f[2] - f[3]) / h - (f[0] - f[1]) / (2.0 * h)) / 3.0
 
     def d2(fun, x):
-        def raw(h):
-            return (fun(x + h) - 2.0 * fun(x) + fun(x - h)) / h ** 2
         h = 5e-4 * (1.0 + abs(x))
-        return (4.0 * raw(h / 2.0) - raw(h)) / 3.0
+        f = fun(x + h * np.array([1.0, 0.0, -1.0, 0.5, -0.5]))
+        raw_h = (f[0] - 2.0 * f[1] + f[2]) / h ** 2
+        raw_half = (f[3] - 2.0 * f[1] + f[4]) / (h / 2.0) ** 2
+        return (4.0 * raw_half - raw_h) / 3.0
 
     def cross(fun, x, y):
-        def raw(hx, hy):
-            return (fun(x + hx, y + hy) - fun(x + hx, y - hy)
-                    - fun(x - hx, y + hy) + fun(x - hx, y - hy)) / (4.0 * hx * hy)
         hx = 5e-4 * (1.0 + abs(x))
         hy = 5e-4 * (1.0 + abs(y))
-        return (4.0 * raw(hx / 2.0, hy / 2.0) - raw(hx, hy)) / 3.0
+        sx, sy = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
+        f = fun(x + hx * np.concatenate([sx, sx / 2.0]), y + hy * np.concatenate([sy, sy / 2.0]))
+        raw_h = (f[0] - f[1] - f[2] + f[3]) / (4.0 * hx * hy)
+        raw_half = (f[4] - f[5] - f[6] + f[7]) / (4.0 * (hx / 2.0) * (hy / 2.0))
+        return (4.0 * raw_half - raw_h) / 3.0
 
-    L_r = d1(lambda x: L(th, x, rd), r)
-    L_rdot = d1(lambda x: L(th, r, x), rd)
-    L_rdot_rdot = d2(lambda x: L(th, r, x), rd)
-    L_r_rdot = cross(lambda x, y: L(th, x, y), r, rd)
-    L_theta_rdot = cross(lambda x, y: L(x, r, y), th, rd)
-    L_rr = d2(lambda x: L(th, x, rd), r)
-    return {"L_r": L_r, "L_rdot": L_rdot, "L_rdot_rdot": L_rdot_rdot,
-            "L_r_rdot": L_r_rdot, "L_theta_rdot": L_theta_rdot, "L_rr": L_rr}
+    return {"L_r": d1(lambda x: L(th, x, rd), r),
+            "L_rdot": d1(lambda x: L(th, r, x), rd),
+            "L_rdot_rdot": d2(lambda x: L(th, r, x), rd),
+            "L_r_rdot": cross(lambda x, y: L(th, x, y), r, rd),
+            "L_theta_rdot": cross(lambda x, y: L(x, r, y), th, rd),
+            "L_rr": d2(lambda x: L(th, x, rd), r)}
 
 
 def euler_lagrange_residual(spec: LagrangianSpec, rel: WeingartenRelation,
@@ -508,32 +490,28 @@ def euler_lagrange_residual(spec: LagrangianSpec, rel: WeingartenRelation,
     if thetas is None:
         lo, hi = trajectory.grid[0], trajectory.grid[-1]
         thetas = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 25)
-    el = np.full(len(thetas), np.nan)
-    mf = np.full(len(thetas), np.nan)
-    r1, phis, rdd_plus_r = np.full((3, len(thetas)), np.nan)
+    thetas = np.asarray(thetas, dtype=float)
+    rs, rds, rdds = trajectory.value(thetas), trajectory.rdot(thetas), trajectory.rddot(thetas)
+    el, phis = np.full((2, len(thetas)), np.nan)
     skipped = np.zeros(len(thetas), dtype=bool)
     needs_mult = isinstance(spec, (L0Spec, GeneralSpec))
-    for i, th in enumerate(np.asarray(thetas, dtype=float)):
-        r = float(trajectory.value(th))
-        rd = float(trajectory.rdot(th))
-        rdd = float(trajectory.rddot(th))
+    for i, (th, r, rd, rdd) in enumerate(zip(thetas, rs, rds, rdds)):
         try:
             state = VariationalState(th, r, rd)
             m = mult if (mult is not None or not needs_mult) \
                 else Multiplier(rel, state.r1)
             parts = lagrangian_partials(spec, rel, state, m, analytic=analytic)
-            phi = _phi_of_spec(spec, rel, m)(th, r, rd)
+            phis[i] = _phi_of_spec(spec, rel, m)(th, r, rd)
         except (SingularMultiplierError, ValueError, ZeroDivisionError):
             skipped[i] = True
             continue
         el[i] = (parts["L_rdot_rdot"] * rdd + parts["L_r_rdot"] * rd
                  + parts["L_theta_rdot"] - parts["L_r"])
-        r1[i] = rd / math.tan(th) + r
-        phis[i] = phi
-        rdd_plus_r[i] = rdd + r
     kept = ~skipped
-    mf[kept] = phis[kept] * (rdd_plus_r[kept] - eval_F_float(rel, r1[kept]))
-    return {"theta": np.asarray(thetas, dtype=float), "el": el,
+    r1 = rds[kept] / np.tan(thetas[kept]) + rs[kept]
+    mf = np.full(len(thetas), np.nan)
+    mf[kept] = phis[kept] * (rdds[kept] + rs[kept] - eval_F_float(rel, r1))
+    return {"theta": thetas, "el": el,
             "multiplier_form": mf, "defect": el - mf, "skipped": skipped}
 
 
@@ -573,16 +551,18 @@ def helmholtz_residual(rel: WeingartenRelation,
 def first_integral_I(rel: WeingartenRelation, state: VariationalState,
                      mult: Optional[Multiplier] = None) -> float:
     """I = exp(int^{r1} du/(F - u)) / sin(theta), anchored at the base point."""
-    m = mult or Multiplier(rel, state.r1)
-    return m.I_exp(state.r1) / math.sin(state.theta)
+    return _mult_at(rel, state, mult).I_exp(state.r1) / np.sin(state.theta)
 
 
 def first_integral_Q(rel: WeingartenRelation, state: VariationalState,
                      mult: Optional[Multiplier] = None,
                      theta_base: float = 1e-3) -> float:
-    """The second first integral, by root-solving the level function r1(C, u).
+    """The second first integral, integrated along the level curve of I.
 
-    Written in the integrated-by-parts form whose integrand
+    The level curve x = r1(C, u) of I through the state solves
+    x' = cot(u) (F(x) - x), the Codazzi-Mainardi equation itself, from
+    x(theta) = r1.  One ODE run from theta to theta_base carries x along
+    with the integral of the integrated-by-parts form, whose integrand
     (F(r1(C,u)) - r1(C,u))/sin(u) is regular through theta = pi/2:
 
         Q = [r - r1(C,theta)]/cos(theta) + r1(C,theta_base)/cos(theta_base)
@@ -593,35 +573,36 @@ def first_integral_Q(rel: WeingartenRelation, state: VariationalState,
     anchor-free convention up to O(theta_base^2) when the level curve
     r1(C, u) has a finite pole limit; trajectories whose r1 diverges at
     the pole (e.g. constant-mean-curvature ones) need an interior
-    theta_base instead.
+    theta_base instead.  A level curve that leaves the multiplier's
+    fixed-point-free interval before theta_base raises
+    SingularMultiplierError.
     """
-    m = mult or Multiplier(rel, state.r1)
+    m = _mult_at(rel, state, mult)
     th = state.theta
     if abs(math.cos(th)) < 1e-9:
         raise SingularMultiplierError("Q is evaluated away from theta = pi/2")
-    C = first_integral_I(rel, state, m)
-    if C <= 0.0:
-        raise SingularMultiplierError("first integral level must be positive")
+    r1_th = float(m._check(state.r1))
+    lo, hi = m.interval
 
-    hint = state.r1
+    def rhs(u, y):
+        g = float(eval_F_float(rel, y[0])) - y[0]
+        return [g / math.tan(u), g / math.sin(u)]
 
-    def r1_level(u: float, guess: float) -> float:
-        return m.r1_of_level(C, u, hint=guess)
+    def leaves(u, y):
+        return (y[0] - lo) * (hi - y[0])
+    leaves.terminal = True
 
-    r1_th = r1_level(th, hint)
-
-    cache = {"guess": r1_th}
-
-    def integrand(u: float) -> float:
-        x = r1_level(u, cache["guess"])
-        cache["guess"] = x
-        return (float(eval_F_float(rel, x)) - x) / math.sin(u)
-
-    integral = adaptive_simpson(integrand, theta_base, th,
-                                abs_tol=1e-11, rel_tol=1e-9)
-    r1_base = r1_level(theta_base, cache["guess"])
+    try:
+        sol = solve_ivp(rhs, (th, theta_base), [r1_th, 0.0], method="DOP853",
+                        rtol=1e-13, atol=1e-14, events=leaves)
+    except ArithmeticError as exc:
+        raise SingularMultiplierError(f"level curve of I failed: {exc}") from exc
+    if sol.status != 0:  # an interval end was reached (status 1) or the solver failed
+        raise SingularMultiplierError(f"level curve of I from theta={th} did not reach "
+                                      f"theta_base={theta_base} in {m.interval}: {sol.message}")
+    r1_base, minus_integral = sol.y[:, -1]
     return ((state.r - r1_th) / math.cos(th)
-            + r1_base / math.cos(theta_base) + integral)
+            + r1_base / math.cos(theta_base) - minus_integral)
 
 
 def jlm_ratio_check(rel: WeingartenRelation,
@@ -638,17 +619,12 @@ def jlm_ratio_check(rel: WeingartenRelation,
     if thetas is None:
         lo, hi = trajectory.grid[0], trajectory.grid[-1]
         thetas = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 15)
-
-    def log_ratio(th: float) -> float:
-        r = float(trajectory.value(th))
-        rd = float(trajectory.rdot(th))
-        return math.log(abs(phi_a(th, r, rd))) - math.log(abs(phi_b(th, r, rd)))
-
-    out = np.empty(len(thetas))
-    for i, th in enumerate(np.asarray(thetas, dtype=float)):
-        h = 1e-5
-        out[i] = (log_ratio(th + h) - log_ratio(th - h)) / (2.0 * h)
-    return out
+    thetas = np.asarray(thetas, dtype=float)
+    h = 1e-5
+    ths = np.concatenate([thetas + h, thetas - h])
+    log_ratio = np.array([math.log(abs(phi_a(*p))) - math.log(abs(phi_b(*p)))
+                          for p in zip(ths, trajectory.value(ths), trajectory.rdot(ths))])
+    return (log_ratio[:len(thetas)] - log_ratio[len(thetas):]) / (2.0 * h)
 
 
 def sine_perturbation_basis(n: int, theta1: float, theta2: float,
@@ -701,25 +677,17 @@ def second_variation(spec: LagrangianSpec, rel: WeingartenRelation,
         raise SingularMultiplierError(
             "L0 stability intervals must lie inside (0, pi/2) or (pi/2, pi)")
     v_fun, vd_fun = v
-
-    def integrand(th: float) -> float:
-        r = float(r_star.value(th))
-        rd = float(r_star.rdot(th))
-        state = VariationalState(th, r, rd)
-        parts = lagrangian_partials(spec, rel, state, mult, analytic=analytic)
-        vv = float(v_fun(th))
-        vd = float(vd_fun(th))
-        return (parts["L_rr"] * vv ** 2 + 2.0 * parts["L_r_rdot"] * vv * vd
-                + parts["L_rdot_rdot"] * vd ** 2)
-
     # smooth integrand on a closed interval: two 32-point Gauss panels
     nodes, weights = np.polynomial.legendre.leggauss(32)
-    total = 0.0
-    for a, b in ((th1, 0.5 * (th1 + th2)), (0.5 * (th1 + th2), th2)):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        total += half * sum(w * integrand(mid + half * x) for x, w in zip(nodes, weights))
-    return total
+    edges = np.array([th1, 0.5 * (th1 + th2), th2])
+    half = 0.5 * np.diff(edges)[:, None]
+    ths = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+    state = VariationalState(ths, r_star.value(ths), r_star.rdot(ths))
+    parts = lagrangian_partials(spec, rel, state, mult, analytic=analytic)
+    vv, vd = v_fun(ths), vd_fun(ths)
+    integrand = (parts["L_rr"] * vv ** 2 + 2.0 * parts["L_r_rdot"] * vv * vd
+                 + parts["L_rdot_rdot"] * vd ** 2)
+    return float(np.sum((half * weights).ravel() * integrand))
 
 
 def general_lagrangian(rel: WeingartenRelation,
@@ -741,21 +709,15 @@ def general_lagrangian(rel: WeingartenRelation,
     lo, hi = trajectory.grid[0], trajectory.grid[-1]
     thetas = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 12)
     states = []
-    for th in thetas:
+    for p in zip(thetas, trajectory.value(thetas), trajectory.rdot(thetas)):
         try:
-            states.append(VariationalState(float(th), float(trajectory.value(th)),
-                                           float(trajectory.rdot(th))))
+            states.append(VariationalState(*p))
         except ValueError:
             continue
     if mult is None:
         mult = Multiplier(rel, states[len(states) // 2].r1)
-
-    def phi(th, r, rd):
-        st = VariationalState(th, r, rd)
-        I = first_integral_I(rel, st, mult)
-        Q = first_integral_Q(rel, st, mult) if needs_Q else None
-        return f(I, Q) * mult.phi0(st.r1)
-
+    general = GeneralSpec(f=f, needs_Q=needs_Q)
+    phi = _phi_of_spec(general, rel, mult)
     pde = helmholtz_residual(rel, phi, states, mult)
     report: dict = {"pde_residual_max": float(np.max(np.abs(pde))),
                     "pde_residual": pde, "theta": thetas}
@@ -765,26 +727,21 @@ def general_lagrangian(rel: WeingartenRelation,
         return report
     report["is_jlm"] = True
 
-    spec: Optional[LagrangianSpec] = None
-    if registered == "hopf":
-        spec = HopfL1Spec()
-    elif registered == "cubic":
-        spec = CubicL1Spec()
+    spec = {"hopf": HopfL1Spec(), "cubic": CubicL1Spec()}.get(registered)
     if spec is not None:
         res = euler_lagrange_residual(spec, rel, trajectory, thetas=thetas, mult=mult)
         report["spec"] = spec
         report["el_defect_max"] = float(np.nanmax(np.abs(res["defect"])))
     else:
-        spec = GeneralSpec(f=f, needs_Q=needs_Q)
-        report["spec"] = spec
+        report["spec"] = general
         # required gauge defect: g1_theta - g2_r must equal
         # Phi*(r''+r-F) - EL(quadrature part), which is rdot-independent
         defects = []
         sampled = states[:: max(1, len(states) // 2)]
         values = eval_F_float(rel, np.array([st.r1 for st in sampled]))
-        for st, F in zip(sampled, values):
-            rdd = float(trajectory.rddot(st.theta))
-            parts = lagrangian_partials(spec, rel, st, mult, analytic=False)
+        rdds = trajectory.rddot(np.array([st.theta for st in sampled]))
+        for st, F, rdd in zip(sampled, values, rdds):
+            parts = lagrangian_partials(general, rel, st, mult, analytic=False)
             el_quad = (parts["L_rdot_rdot"] * rdd + parts["L_r_rdot"] * st.rdot
                        + parts["L_theta_rdot"] - parts["L_r"])
             defects.append(phi(st.theta, st.r, st.rdot) * (rdd + st.r - F) - el_quad)

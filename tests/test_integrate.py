@@ -100,6 +100,20 @@ class TestStopReasons:
         with pytest.raises(IntegrationError, match="not defined at r1_0"):
             integrate_cm(parse_relation("r2 = sqrt(r1) + 1"), math.pi / 2.0, -1.0)
 
+    def test_start_at_a_pole_of_F_raises(self):
+        # F(1) = 1/0 is the point at infinity: the first slope is not a number,
+        # and the run is refused before the solver warns about it
+        with pytest.raises(IntegrationError, match="pole of F"):
+            integrate_cm(parse_relation("r2 = 1/(r1 - 1)"), math.pi / 2.0, 1.0)
+
+    def test_stop_reason_names_each_stopped_side(self):
+        both = integrate_cm(parse_relation("r2 = 3 - sqrt(r1)"), math.pi / 2.0, 0.5)
+        assert both.meta["stop_reason"] == "left:f_domain_exit,right:f_domain_exit"
+        right = integrate_cm(CubicRoC(1.0), 0.5, 2.0, (0.3, math.pi - 0.3),
+                             step_control=StepControl(blowup=1e4))
+        assert right.meta["stop_left"] == "completed"
+        assert right.meta["stop_reason"] == "right:" + right.meta["stop_right"]
+
 
 class TestPoleStart:
     def test_consistent_pole_start(self):

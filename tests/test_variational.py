@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from weingarten import (
     CubicL1Spec,
@@ -11,6 +13,7 @@ from weingarten import (
     L0Spec,
     LinearHopf,
     Multiplier,
+    PureKLinear,
     SemiQuadratic,
     SupportProfile,
     VariationalState,
@@ -23,6 +26,7 @@ from weingarten import (
     integrate_cm,
     jlm_ratio_check,
     lagrangian_eval,
+    parse_relation,
     phi0,
     second_variation,
     sine_perturbation_basis,
@@ -363,3 +367,122 @@ class TestGeneralLagrangian:
         for expo in (1.0, 2.0, -1.5):
             rep = general_lagrangian(rel, lambda I, Q, e=expo: I ** e, sol.support)
             assert rep["is_jlm"], expo
+
+
+def explicit_relation(lam, eps):
+    return parse_relation(f"r2 = {lam!r}*r1 + {eps!r}*sin(r1)")
+
+
+def interval_points(m, fracs):
+    """Points of the multiplier interval (within 3 of the base point) and the base itself."""
+    a = max(m.interval[0], m.base_point - 3.0)
+    b = min(m.interval[1], m.base_point + 3.0)
+    return np.append(a + (b - a) * np.asarray(fracs), m.base_point)
+
+
+fractions = st.lists(st.floats(0.02, 0.98), min_size=1, max_size=12)
+
+
+@functools.lru_cache(maxsize=None)
+def numeric_multiplier(key):
+    """A numeric multiplier integrates J on first use, so each is built once."""
+    rel = explicit_relation(*key) if key else SemiQuadratic(0.0, 1.0, 1.0, -4.0)
+    return Multiplier(rel, 1.0)
+
+
+class TestArrayFirstMultiplier:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.floats(-1.0, 3.0).filter(lambda x: abs(x - 1.0) > 0.1),
+                  st.floats(-2.0, 2.0)).filter(lambda p: abs(1.0 - p[0] - p[1]) > 0.05)
+                                       .map(lambda p: Multiplier(LinearHopf(*p), 1.0)),
+        st.sampled_from([(LinearHopf(2.0, 0.0), 1.0), (PureKLinear(0.5), 1.0),
+                         (CubicRoC(1.5), 0.3)]).map(lambda p: Multiplier(*p)),
+        st.sampled_from([(2.0, 0.1), (2.5, -0.05), (1.5, 0.08), ()]).map(numeric_multiplier)),
+        fractions)
+    def test_array_calls_equal_scalar_calls(self, m, fracs):
+        us = interval_points(m, fracs)
+        for name in ("J", "phi0", "G1", "G2", "I_exp"):
+            method = getattr(m, name)
+            try:
+                scalars = [method(float(u)) for u in us]
+            except SingularMultiplierError:
+                # beyond the reach of the dense J: the array call refuses too
+                with pytest.raises(SingularMultiplierError):
+                    method(us)
+                continue
+            assert all(type(v) is float for v in scalars), name
+            got = method(us)
+            assert got.shape == us.shape, name
+            np.testing.assert_allclose(got, scalars, rtol=1e-14, atol=1e-15, err_msg=name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["L0-closed", "L0-numeric", "HopfL1", "CubicL1"]),
+           st.lists(st.tuples(st.floats(0.3, 1.35), st.floats(0.05, 0.95),
+                              st.floats(-0.4, 0.4)), min_size=1, max_size=10))
+    def test_array_partials_equal_per_state_partials(self, kind, draws):
+        spec, rel, m, r1_range = {
+            "L0-closed": (L0Spec(), LinearHopf(2.0, 0.0), Multiplier(LinearHopf(2.0, 0.0), 1.0),
+                          (0.5, 2.5)),
+            "L0-numeric": (L0Spec(), explicit_relation(2.5, 0.1),
+                           Multiplier(explicit_relation(2.5, 0.1), 1.0), (0.5, 2.5)),
+            "HopfL1": (HopfL1Spec(), LinearHopf(0.5, 1.0), None, (0.5, 3.0)),
+            "CubicL1": (CubicL1Spec(), CubicRoC(1.0), None, (0.2, 0.6)),
+        }[kind]
+        th, frac, rd = (np.array(col) for col in zip(*draws))
+        r1 = r1_range[0] + frac * (r1_range[1] - r1_range[0])
+        r = r1 - rd / np.tan(th)   # so rho = rd cos + r sin = r1 sin(theta) > 0
+        whole = lagrangian_partials(spec, rel, VariationalState(th, r, rd), m)
+        for i in range(len(th)):
+            one = lagrangian_partials(spec, rel, VariationalState(th[i], r[i], rd[i]), m)
+            for key, value in one.items():
+                assert type(value) is float, key
+                assert whole[key][i] == pytest.approx(value, rel=1e-13, abs=1e-13), key
+
+
+def hopf_level_curve(lam, C, state):
+    """The level curve x(u) of I through ``state`` for r2 = lam r1 + C, in closed form."""
+    g0 = (1.0 - lam) * state.r1 - C
+    level = abs(g0) ** (-1.0 / (1.0 - lam)) / math.sin(state.theta)   # I at the state
+    return lambda u: (C + math.copysign(1.0, g0) * (level * math.sin(u)) ** (lam - 1.0)) / (1.0 - lam)
+
+
+off_equator = st.floats(0.3, 2.8).filter(lambda t: abs(math.cos(t)) > 0.1)
+
+
+class TestQReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-1.0, 3.0).filter(lambda x: abs(x - 1.0) > 0.2), st.floats(-2.0, 2.0),
+           off_equator, off_equator, st.floats(0.2, 2.0), st.sampled_from([-1.0, 1.0]),
+           st.floats(-2.0, 2.0))
+    def test_Q_matches_closed_form_level_curve(self, lam, C, theta, theta_base, offset, side, r):
+        rel = LinearHopf(lam, C)
+        r1 = C / (1.0 - lam) + side * offset    # a start off the fixed point
+        m = Multiplier(rel, r1)
+        state = VariationalState(theta, r, (r1 - r) * math.tan(theta))
+        x = hopf_level_curve(lam, C, state)
+        assume(all(m.interval[0] < x(u) < m.interval[1]
+                   for u in np.linspace(theta_base, theta, 64)))
+        integral = adaptive_simpson(lambda u: (lam * x(u) + C - x(u)) / math.sin(u),
+                                    theta_base, theta, abs_tol=1e-13, rel_tol=1e-12)
+        want = ((state.r - x(theta)) / math.cos(theta)
+                + x(theta_base) / math.cos(theta_base) + integral)
+        got = first_integral_Q(rel, state, m, theta_base=theta_base)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_level_curve_leaving_the_interval_raises(self):
+        # lam < 1: |(1 - lam) x - C| = (I sin u)^(lam - 1) grows toward the
+        # pole, so from theta = 1 the level curve passes the interval's lower
+        # end base - 10 (at u ~ 0.03, where x = -9) before theta_base = 1e-3
+        rel = LinearHopf(0.5, 1.0)
+        m = Multiplier(rel, 1.0)
+        state = VariationalState(1.0, 1.0, 0.0)
+        x = hopf_level_curve(0.5, 1.0, state)
+        assert x(0.1) > m.interval[0] > x(1e-3)
+        with pytest.raises(SingularMultiplierError):
+            first_integral_Q(rel, state, m, theta_base=1e-3)
+        # the same curve inside the interval gives the reference value
+        assert first_integral_Q(rel, state, m, theta_base=0.5) == pytest.approx(
+            (state.r - x(1.0)) / math.cos(1.0) + x(0.5) / math.cos(0.5)
+            + adaptive_simpson(lambda u: (1.0 - 0.5 * x(u)) / math.sin(u), 0.5, 1.0,
+                               abs_tol=1e-13, rel_tol=1e-12), rel=1e-9)
