@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import POLE_EPS, RoCProfile, SupportProfile, as_angle, t_of_theta, theta_of_t
-from .numerics import cumulative_quadrature
+from .numerics import StackedDense, cumulative_quadrature
 from .expressions import EvalDomainError
 from .relations import RelationError, WeingartenRelation, eval_F_float, eval_F_prime, render_relation
 
@@ -174,7 +174,7 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
     events = _events_factory(rel, sc.blowup, domain_hits)
 
     stop = {"left": "completed", "right": "completed"}
-    sols = {}
+    dense = {}
     reached = {}
     for side, t_end in (("left", t_lo), ("right", t_hi)):
         if (side == "left" and t_end >= t0 - 1e-15) or (side == "right" and t_end <= t0 + 1e-15):
@@ -192,7 +192,7 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         elif sol.status != 0:
             # the steps shrank at the edge of F's domain, or for another reason
             stop[side] = "f_domain_exit" if domain_hits else "step_underflow"
-        sols[side] = sol
+        dense[side] = StackedDense(sol.sol)
         reached[side] = float(sol.t[-1])
 
     t_min = reached.get("left", t0)
@@ -205,12 +205,12 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         out = np.empty((len(y0), len(tq)))
         left_mask = tq < t0
         if left_mask.any():
-            if "left" not in sols:
+            if "left" not in dense:
                 raise ValueError("query outside the integrated domain")
-            out[:, left_mask] = sols["left"].sol(tq[left_mask])
+            out[:, left_mask] = dense["left"](tq[left_mask])
         if (~left_mask).any():
-            if "right" in sols:
-                out[:, ~left_mask] = sols["right"].sol(np.clip(tq[~left_mask], t0, t_max))
+            if "right" in dense:
+                out[:, ~left_mask] = dense["right"](np.clip(tq[~left_mask], t0, t_max))
             else:
                 out[:, ~left_mask] = np.asarray(y0, dtype=float)[:, None]
         return out

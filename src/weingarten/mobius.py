@@ -370,12 +370,12 @@ def induced_surface(M: MoebiusElement, profile: RoCProfile,
     image is a plane; r2 = -d/c identically (r1 not) gives a cone.
     """
     if abs(M.c) > 0.0:
-        pole = -M.d / M.c
-        scale = max(1.0, abs(pole))
-        if np.all(np.abs(profile.r1 - pole) <= 1e-10 * scale):
+        # |r + d/c| <= 1e-10 max(1, |d/c|) times |c|: no overflow for a tiny c
+        tol = 1e-10 * max(abs(M.c), abs(M.d))
+        if np.all(np.abs(M.c * profile.r1 + M.d) <= tol):
             return TransformedSurface(kind="plane", M=M,
                                       notes="r1 = -d/c identically: image is a plane")
-        if np.all(np.abs(profile.r2 - pole) <= 1e-10 * scale):
+        if np.all(np.abs(M.c * profile.r2 + M.d) <= tol):
             return TransformedSurface(kind="cone", M=M,
                                       notes="r2 = -d/c identically: image is a cone")
 
@@ -405,7 +405,7 @@ def induced_surface(M: MoebiusElement, profile: RoCProfile,
 
     inv_map = None
     if profile.evaluator is not None:
-        inv_map = _ImageEvaluator(M, rep, profile, theta_src, tt)
+        inv_map = _ImageEvaluator(M, rep.A, profile, theta_src, tt)
 
     # the image satisfies the transported relation; it has none when the
     # source has none or the transport is undefined
@@ -428,52 +428,52 @@ def induced_surface(M: MoebiusElement, profile: RoCProfile,
                               notes="" if finite.all() else "image contains flat samples")
 
 
+@dataclass(eq=False)
 class _ImageEvaluator:
-    """Dense (r1~, r2~)(theta~) by inverting the Gauss-angle map."""
+    """Dense (r1~, r2~)(theta~) by inverting the Gauss-angle map for a whole array.
 
-    def __init__(self, M: MoebiusElement, rep: Reparameterization,
-                 source: RoCProfile, theta_src: np.ndarray, theta_img: np.ndarray):
-        self.M = M
-        self.A = rep.A
-        self.reversed_branch = rep.reversed_branch
-        self.source = source
-        self.theta_src = theta_src
-        self.theta_img = theta_img
+    The stored (theta~, theta) samples bracket each query for safeguarded Newton
+    steps; a bracket with no sign change gives its end with the smaller residual.
+    """
 
-    def _theta_of(self, tt: float) -> float:
-        from scipy.optimize import brentq
+    M: MoebiusElement
+    A: float
+    source: RoCProfile
+    theta_src: np.ndarray
+    theta_img: np.ndarray
 
-        i = int(np.searchsorted(self.theta_img, tt))
-        i = min(max(i, 1), len(self.theta_img) - 1)
-        lo, hi = self.theta_src[i - 1], self.theta_src[i]
-        lo = max(lo - 1e-12, self.source.theta_min)
-        hi = min(hi + 1e-12, self.source.theta_max)
-        target = math.sin(tt)
-
-        def eqn(th: float) -> float:
-            r1v = float(self.source.r1_at(th))
-            return self.A * (self.M.c * r1v + self.M.d) * math.sin(th) - target
-
-        flo, fhi = eqn(lo), eqn(hi)
-        if flo * fhi > 0.0:
-            return lo if abs(flo) < abs(fhi) else hi
-        return brentq(eqn, lo, hi, xtol=1e-14)
+    def _residual(self, th: np.ndarray, target: np.ndarray):
+        """A (c r1 + d) sin(theta) - target and its theta-derivative (by Codazzi-Mainardi)."""
+        r1, r2 = self.source.evaluator(th)
+        return (self.A * (self.M.c * r1 + self.M.d) * np.sin(th) - target,
+                self.A * (self.M.c * r2 + self.M.d) * np.cos(th))
 
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        scalar = theta.ndim == 0
-        thetas = np.atleast_1d(theta)
-        r1 = np.empty_like(thetas)
-        r2 = np.empty_like(thetas)
-        for j, tt in enumerate(thetas):
-            th = self._theta_of(float(tt))
-            r1[j] = frac_linear_array(self.M.a, self.M.b, self.M.c, self.M.d,
-                                      np.array([float(self.source.r1_at(th))]))[0]
-            r2[j] = frac_linear_array(self.M.a, self.M.b, self.M.c, self.M.d,
-                                      np.array([float(self.source.r2_at(th))]))[0]
-        if scalar:
-            return np.array([float(r1[0]), float(r2[0])])
-        return np.array([r1, r2])
+        tt = np.asarray(theta, dtype=float)
+        target = np.sin(tt).ravel()
+        i = np.clip(np.searchsorted(self.theta_img, tt.ravel()), 1, len(self.theta_img) - 1)
+        lo, hi = np.sort([self.theta_src[i - 1], self.theta_src[i]], axis=0)
+        a = np.maximum(lo - 1e-12, self.source.theta_min)
+        b = np.minimum(hi + 1e-12, self.source.theta_max)
+        ga, gb = self._residual(np.concatenate([a, b]), np.tile(target, 2))[0].reshape(2, -1)
+        th = np.where(np.abs(ga) < np.abs(gb), a, b)
+        act = np.flatnonzero(ga * gb < 0.0)
+        th[act] = b[act] - gb[act] * (b[act] - a[act]) / (gb[act] - ga[act])  # regula falsi
+        for _ in range(100):
+            if not act.size:
+                break
+            x = th[act]
+            g, dg = self._residual(x, target[act])
+            # keep the bracket around the root, and bisect where Newton leaves it
+            same = np.sign(g) == np.sign(ga[act])
+            a[act], b[act] = np.where(same, x, a[act]), np.where(same, b[act], x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = x - g / dg
+            keep = (step > a[act]) & (step < b[act]) | (np.abs(step - x) <= 1e-14)
+            th[act] = np.where(keep, step, 0.5 * (a[act] + b[act]))
+            act = act[np.abs(th[act] - x) > 1e-14]
+        radii = frac_linear_array(self.M.a, self.M.b, self.M.c, self.M.d, self.source.evaluator(th))
+        return radii.reshape((2,) + tt.shape)
 
 
 def reciprocal_transform_closed(profile: RoCProfile, h_anchor: float = 0.0) -> TransformedSurface:

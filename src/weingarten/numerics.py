@@ -1,7 +1,8 @@
-"""Shared numerical kernels: adaptive Simpson quadrature, finite differences.
+"""Shared numerical kernels: quadrature, finite differences, dense output.
 
 The declared schemes for the whole package:
 
+* dense ODE output -- RK45's own interpolants, one array query at a time;
 * quadrature -- adaptive Simpson, abs tol 1e-10 / rel tol 1e-8;
 * derivatives of sampled data -- centered 4th-order stencils on uniform
   grids (one-sided 4th-order at the ends), quintic spline otherwise;
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 __all__ = [
+    "StackedDense",
     "adaptive_simpson",
     "cumulative_quadrature",
     "cumulative_simpson_uniform",
@@ -26,6 +28,31 @@ __all__ = [
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
+
+
+class StackedDense:
+    """An RK45 ``OdeSolution``'s segments stacked once, so that a query of shape S
+    costs a fixed number of numpy steps and gives values of shape (states,) + S.
+
+    Segments are picked by OdeSolution's rule: a knot belongs to the lower-index one.
+    """
+
+    def __init__(self, sol):
+        segs = sol.interpolants if sol.ascending else sol.interpolants[::-1]
+        self.ts_sorted, self.side = sol.ts_sorted, sol.side
+        self.t_old = np.array([s.t_old for s in segs])
+        self.h = np.array([s.h for s in segs])
+        self.Q = np.moveaxis(np.array([s.Q for s in segs]), 0, -1)  # (states, order, segments)
+        self.y_old = np.array([s.y_old for s in segs]).T              # (states, segments)
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts_sorted, t, side=self.side) - 1, 0, len(self.h) - 1)
+        x = (t - self.t_old[seg]) / self.h[seg]
+        powers = np.cumprod(np.broadcast_to(x, (self.Q.shape[1],) + x.shape), axis=0)
+        # summed over the order axis, not by einsum, whose rounding of one
+        # point depends on how many other points share the call
+        return self.h[seg] * (self.Q[:, :, seg] * powers).sum(axis=1) + self.y_old[:, seg]
 
 
 def _simpson(f, a, fa, b, fb, m, fm):

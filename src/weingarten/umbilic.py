@@ -87,9 +87,7 @@ def _s_values(profile: RoCProfile, thetas: np.ndarray) -> np.ndarray:
     """r2 - r1 on the ladder, via a direct excess evaluator when available."""
     if profile.s_fn is not None:
         return np.asarray([float(profile.s_fn(th)) for th in thetas])
-    r1 = np.asarray([float(profile.r1_at(th)) for th in thetas])
-    r2 = np.asarray([float(profile.r2_at(th)) for th in thetas])
-    return r2 - r1
+    return np.asarray(profile.r2_at(thetas) - profile.r1_at(thetas), dtype=float)
 
 
 def _log_fit(pole_dist: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -130,7 +128,7 @@ def umbilic_slope_estimate(profile: RoCProfile, r0: Optional[float] = None,
         south_gap = math.pi - profile.theta_max
         side = "north" if north_gap <= south_gap else "south"
     thetas = _ladder(profile, side, theta_ref, k_max)
-    r1 = np.asarray([float(profile.r1_at(th)) for th in thetas])
+    r1 = np.asarray(profile.r1_at(thetas), dtype=float)
     s = _s_values(profile, thetas)
     noise = _value_noise(profile)
     scale = max(float(np.max(np.abs(r1))), 1e-30)

@@ -37,6 +37,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq  # noqa: F401  (no caller; traced by bench/layertrace.py)
 
 from .geometry import POLE_EPS, SupportProfile
+from .numerics import StackedDense
 from .relations import (
     CubicRoC,
     LinearHopf,
@@ -185,9 +186,9 @@ class Multiplier:
             for end in (lo, hi):
                 if end == self.base_point:
                     continue
-                sols[end < self.base_point] = solve_ivp(
+                sols[end < self.base_point] = StackedDense(solve_ivp(
                     rhs, (self.base_point, end), [0.0, 0.0], method="RK45",
-                    rtol=1e-12, atol=1e-14, dense_output=True, events=ev)
+                    rtol=1e-12, atol=1e-14, dense_output=True, events=ev).sol)
             self._dense = sols
         return self._dense
 
@@ -201,11 +202,10 @@ class Multiplier:
                 continue
             if below not in sols:
                 raise SingularMultiplierError("argument outside the integrated interval")
-            sol = sols[below]
-            tmin, tmax = min(sol.t[0], sol.t[-1]), max(sol.t[0], sol.t[-1])
+            tmin, tmax = sols[below].ts_sorted[[0, -1]]
             if np.any(flat[side] < tmin - 1e-12) or np.any(flat[side] > tmax + 1e-12):
                 raise SingularMultiplierError("argument beyond the multiplier's reach")
-            out[:, side] = sol.sol(flat[side])
+            out[:, side] = sols[below](flat[side])
         return out.reshape((2,) + np.shape(u))
 
     # -- core evaluations ----------------------------------------------------

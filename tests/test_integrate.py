@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.special import beta, betainc
 
 from weingarten import (
@@ -15,6 +17,8 @@ from weingarten import (
     parse_relation,
 )
 from weingarten.integrate import InconsistentPoleStartError, IntegrationError, StepControl
+from weingarten.numerics import StackedDense
+from weingarten.variational import Multiplier
 from weingarten.relations import RelationError
 
 
@@ -211,3 +215,48 @@ def test_support_init_must_be_consistent():
     with pytest.raises(ValueError):
         integrate_cm(LinearHopf(2.0, 0.0), 1.0, 1.0, (0.5, 2.0),
                      support_init=(5.0, 5.0))
+
+
+def _dense_rhs(t, y):
+    return [math.cos(3.0 * t) * y[1], math.sin(t) - y[0], 0.1 * y[0] * y[1]]
+
+
+# one ascending and one descending (integrate_cm's left side) RK45 solution
+_DENSE_RUNS = {end: solve_ivp(_dense_rhs, (0.0, end), [1.0, 0.5, 0.2], method="RK45",
+                              rtol=1e-10, atol=1e-12, dense_output=True)
+               for end in (4.0, -4.0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_DENSE_RUNS)), st.data())
+def test_stacked_dense_matches_ode_solution(end, data):
+    sol = _DENSE_RUNS[end].sol
+    knots = _DENSE_RUNS[end].t
+    points = st.one_of(st.floats(min(0.0, end) - 0.5, max(0.0, end) + 0.5),
+                       st.sampled_from(knots.tolist()))
+    # unsorted draws, repeated knots and both ends
+    query = np.array(data.draw(st.lists(points, min_size=1, max_size=40)) + [0.0, end])
+    dense = StackedDense(sol)
+    for t in (query, np.float64(data.draw(points))):
+        want = sol(t)
+        got = dense(t)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    # a value does not depend on the other points of its query
+    whole = dense(query)
+    np.testing.assert_array_equal(whole, np.array([dense(t) for t in query]).T)
+    singles = [dense(query[i:i + 1]) for i in range(len(query))]
+    np.testing.assert_array_equal(whole, np.hstack(singles))
+
+
+def test_dense_queries_make_no_per_segment_calls(monkeypatch):
+    def per_segment(self, t):
+        raise AssertionError("OdeSolution.__call__ evaluates one segment at a time")
+
+    monkeypatch.setattr(OdeSolution, "__call__", per_segment)
+    p = integrate_cm(parse_relation("r2 = 2*r1 + sin(r1)/10"), math.pi / 2.0, 1.0,
+                     (0.2, math.pi - 0.2))
+    theta = np.linspace(0.3, math.pi - 0.3, 50)
+    assert np.all(np.isfinite(p.r1_at(theta))) and np.all(np.isfinite(p.support.value(theta)))
+    mult = Multiplier(p.relation, 0.8)
+    assert np.all(np.isfinite(mult.J(np.linspace(0.5, 0.9, 7))))

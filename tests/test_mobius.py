@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from weingarten import (
     Calibration,
@@ -30,6 +32,7 @@ from weingarten import (
     eval_F,
     induced_surface,
     integrate_cm,
+    parse_relation,
     reciprocal_transform_closed,
     reparameterize,
     transform_relation,
@@ -208,6 +211,94 @@ class TestInducedSurface:
         assert induced_surface(M, prof).profile.relation == transform_relation(M, rel)
 
 
+@pytest.fixture(scope="module")
+def explicit_source():
+    return integrate_cm(parse_relation("r2 = 2*r1 + sin(r1)/10"), math.pi / 2.0, 1.0,
+                        (0.05, math.pi - 0.05))
+
+
+# det-1 matrices whose pole -d/c clears the source radii (0 < r1 <= 1, r2 < 2.1)
+matrices = st.tuples(st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(-0.15, 0.3)).map(
+    lambda abc: MoebiusElement(abc[0], abc[1], abc[2], (1.0 + abc[1] * abc[2]) / abc[0]))
+
+
+class TestImageEvaluator:
+    @settings(max_examples=25, deadline=None)
+    @given(M=matrices, thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=20))
+    def test_array_call_equals_point_calls(self, explicit_source, M, thetas):
+        img = induced_surface(M, explicit_source).profile
+        whole = img.evaluator(np.array(thetas))
+        assert whole.shape == (2, len(thetas))
+        np.testing.assert_array_equal(whole, np.array([img.evaluator(t) for t in thetas]).T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(M=matrices)
+    @example(M=MoebiusElement(1.0, 0.0, 2.225073858507203e-309, 1.0))  # was taken for a plane
+    def test_matches_stored_samples(self, explicit_source, M):
+        img = induced_surface(M, explicit_source).profile
+        for got, want in ((img.r1_at(img.grid), img.r1), (img.r2_at(img.grid), img.r2)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(M=matrices, data=st.data())
+    def test_matches_a_pointwise_brentq_solve(self, explicit_source, M, data):
+        # the scalar bracketed solve the array evaluator replaced, at a tighter xtol
+        out = induced_surface(M, explicit_source)
+        img, src = out.profile, out.source_theta
+        queries = data.draw(st.lists(st.floats(img.theta_min, img.theta_max), min_size=1,
+                                     max_size=10))
+
+        def residual(th, tt):
+            r1 = float(explicit_source.r1_at(th))
+            return out.A * (M.c * r1 + M.d) * math.sin(th) - math.sin(tt)
+
+        def source_angle(tt):
+            i = min(max(int(np.searchsorted(img.grid, tt)), 1), len(img.grid) - 1)
+            lo, hi = sorted(src[[i - 1, i]])
+            lo = max(lo - 1e-12, explicit_source.theta_min)
+            hi = min(hi + 1e-12, explicit_source.theta_max)
+            if residual(lo, tt) * residual(hi, tt) > 0.0:
+                return None  # an end sample: test_query_beyond_an_end_gives_that_end
+            return brentq(residual, lo, hi, args=(tt,), xtol=1e-15)
+
+        roots = [(tt, source_angle(tt)) for tt in queries]
+        roots = [(tt, th) for tt, th in roots if th is not None]
+        want = apply_roc(M, tuple(explicit_source.evaluator(np.array([th for _, th in roots]))))
+        got = img.evaluator(np.array([tt for tt, _ in roots]))
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(1.0, np.abs(w)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(M=matrices, n=st.integers(1, 600))
+    def test_a_query_costs_a_few_source_calls(self, explicit_source, M, n):
+        # one bracket call, one per Newton iteration and one for the radii,
+        # however many angles the query holds
+        calls = []
+
+        def counting(theta):
+            calls.append(np.shape(theta))
+            return explicit_source.evaluator(theta)
+
+        source = RoCProfile(explicit_source.grid, explicit_source.r1, explicit_source.r2,
+                            evaluator=counting)
+        img = induced_surface(M, source).profile
+        calls.clear()
+        img.evaluator(np.linspace(0.0, math.pi, n))
+        assert 2 <= len(calls) <= 12
+
+    @settings(max_examples=25, deadline=None)
+    @given(M=matrices, gaps=st.lists(st.floats(1e-9, 0.05), min_size=2, max_size=2))
+    def test_query_beyond_an_end_gives_that_end(self, explicit_source, M, gaps):
+        # no sign change in the end bracket: the end sample is the nearer end
+        img = induced_surface(M, explicit_source).profile
+        gaps = np.array(gaps)
+        for theta, end in ((img.theta_min - gaps, 0), (img.theta_max + gaps, -1)):
+            got = img.evaluator(theta)
+            np.testing.assert_array_equal(got[:, 0], got[:, 1])
+            want = np.array([img.r1[end], img.r2[end]])
+            assert np.all(np.abs(got[:, 0] - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
 class TestReciprocalClosed:
     def test_sphere_radius_inverts(self, sphere2):
         out = reciprocal_transform_closed(sphere2)
@@ -343,10 +434,10 @@ def test_module_imports_in_fresh_interpreter(module):
 
 
 def test_no_function_level_imports():
-    """mobius and semiquadratic import each other only at module top (one way).
+    """mobius, semiquadratic and cli import only at module top.
 
-    The one function-level import left is brentq in mobius: the benchmark's
-    layer tracer patches scipy.optimize.brentq and relies on the call-time lookup.
+    The image evaluator solves for source angles itself, so mobius needs no
+    call-time import of scipy.optimize.brentq either.
     """
     found = {}
     for name in ("mobius", "semiquadratic", "cli"):
@@ -357,4 +448,4 @@ def test_no_function_level_imports():
             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names)
-    assert found == {"mobius": [("scipy.optimize", "brentq")], "semiquadratic": [], "cli": []}
+    assert found == {"mobius": [], "semiquadratic": [], "cli": []}

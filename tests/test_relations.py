@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weingarten import (
     CubicRoC,
@@ -411,6 +411,7 @@ def _check_each_operation(tree, x, u: float):
 
 @settings(max_examples=150, deadline=None)
 @given(relations)
+@example(ExplicitF(Func("abs", Func("sqrt", Var("r1")))))
 def test_F_and_array_F_prime_match_points_and_sympy(rel):
     finite = points[np.isfinite(points)]
     per_point = [_scalar(eval_F_prime, rel, u) for u in finite]
@@ -426,9 +427,11 @@ def test_F_and_array_F_prime_match_points_and_sympy(rel):
         return
     dF = sp.diff(F, x)
     if isinstance(rel, ExplicitF):
-        # the float path operation by operation, and the derivative rules exactly
+        # the float path operation by operation, and the derivative rules exactly,
+        # where F is defined: outside its domain sympy may take a real branch
+        # (Abs(sqrt(x)) is real for x < 0) that the derivative rules do not follow
         dtree = ex.diff_expr(rel.expr, "r1")
-        for u in finite:
+        for u in finite[[_scalar(eval_F_float, rel, u) != "undefined" for u in finite]]:
             _check_each_operation(rel.expr, x, float(u))
             _check_each_operation(dtree, x, float(u))
             want = _sympy_value(dF, x, float(u))

@@ -59,6 +59,21 @@ class TestUmbilicSlope:
         assert ua.unbounded
 
 
+    def test_ladder_queries_are_array_calls(self, hopf3_profile):
+        calls = []
+
+        def counting(theta):
+            calls.append(np.shape(theta))
+            return hopf3_profile.evaluator(theta)
+
+        p = RoCProfile(hopf3_profile.grid, hopf3_profile.r1, hopf3_profile.r2, evaluator=counting,
+                       relation=hopf3_profile.relation, meta=hopf3_profile.meta)
+        ua = umbilic_slope_estimate(p, k_max=20)
+        assert ua.slope_estimate == umbilic_slope_estimate(hopf3_profile, k_max=20).slope_estimate
+        # whole-ladder arrays (k_max + 1 rungs), not one call per rung
+        assert set(calls) == {(21,)} and len(calls) <= 5
+
+
 class TestVanishingRate:
     @pytest.mark.parametrize("alpha", [1.5, 2.5])
     @pytest.mark.parametrize("delta, expected", [
