@@ -252,7 +252,8 @@ def cmd_variational(config: dict) -> int:
         mult = None
     thetas = np.linspace(th1, th2, 17)
     res = euler_lagrange_residual(spec, rel, traj, thetas=thetas, mult=mult)
-    states = [VariationalState(*p) for p in zip(thetas, traj.value(thetas), traj.rdot(thetas))]
+    values = (thetas, traj.value(thetas), traj.rdot(thetas))
+    states = [VariationalState(*p) for p in zip(*values)]
     phi_fn = _phi_of_spec(spec, rel, mult)
     helm = helmholtz_residual(rel, phi_fn, states, mult)
     seed = int(config.get("seed", 0))
@@ -260,16 +261,16 @@ def cmd_variational(config: dict) -> int:
     basis = sine_perturbation_basis(6, th1, th2, rng=rng, extra_random=4)
     d2 = [second_variation(spec, rel, traj, v, (th1, th2), mult) for v in basis]
     theta_base = float(config.get("q_theta_base", max(1e-3, th1)))
-    I_vals, Q_vals = [], []
+    I_arr = Q_arr = np.empty(0)
     if mult is not None:
-        for st in states:
-            try:
-                I_vals.append(first_integral_I(rel, st, mult))
-                if abs(math.cos(st.theta)) > 0.05:
-                    Q_vals.append(first_integral_Q(rel, st, mult, theta_base=theta_base))
-            except SingularMultiplierError:
-                pass
-    I_arr, Q_arr = np.asarray(I_vals), np.asarray(Q_vals)
+        # I where the multiplier is defined, Q off the equator; a level
+        # curve of I that leaves the multiplier interval gives a NaN Q
+        keep = mult.defined(VariationalState(*values).r1)
+        I_arr = first_integral_I(rel, VariationalState(*(v[keep] for v in values)), mult)
+        off = keep & (np.abs(np.cos(thetas)) > 0.05)
+        Q_arr = first_integral_Q(rel, VariationalState(*(v[off] for v in values)), mult,
+                                 theta_base=theta_base)
+        Q_arr = Q_arr[~np.isnan(Q_arr)]
     report = _base_report(config)
     report.update({
         "schema": 1,

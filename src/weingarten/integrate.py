@@ -97,6 +97,19 @@ def _events_factory(rel: WeingartenRelation, blowup: float, domain_hits: list):
     return [ev_blow, ev_flat]
 
 
+def _runs_into_pole(rel: WeingartenRelation, r1_prev: float, r1_last: float) -> bool:
+    """Whether the last accepted step ran toward a pole of F: |F| grew over it
+    and, by its log-derivative, F changes by its own size within a relative
+    1e-6 of r1."""
+    try:
+        F_prev, F_last = eval_F_float(rel, np.array([r1_prev, r1_last]))
+        slope = eval_F_prime(rel, r1_last)
+    except EvalDomainError:
+        return False
+    return bool(abs(F_last) > abs(F_prev)
+                and abs(F_last) < abs(slope) * 1e-6 * max(1.0, abs(r1_last)))
+
+
 def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
                  target_interval: tuple[float, float] = (POLE_EPS, math.pi - POLE_EPS),
                  step_control: Optional[StepControl] = None,
@@ -190,8 +203,14 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         if sol.status == 1:  # event hit
             stop[side] = "blow_up" if len(sol.t_events[0]) else "f_domain_exit"
         elif sol.status != 0:
-            # the steps shrank at the edge of F's domain, or for another reason
-            stop[side] = "f_domain_exit" if domain_hits else "step_underflow"
+            # the steps shrank at the edge of F's domain, toward a pole of F,
+            # or for another reason
+            if domain_hits:
+                stop[side] = "f_domain_exit"
+            elif len(sol.t) > 1 and _runs_into_pole(rel, *sol.y[0, -2:]):
+                stop[side] = "f_pole"
+            else:
+                stop[side] = "step_underflow"
         dense[side] = StackedDense(sol.sol)
         reached[side] = float(sol.t[-1])
 

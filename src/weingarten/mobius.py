@@ -231,7 +231,6 @@ class Reparameterization:
     theta_tilde: np.ndarray       # image angles on the standard branch
     mask: np.ndarray              # admissible-sample mask on the source grid
     auto_calibrated: bool
-    reversed_branch: bool = False
 
 
 def _rho_of(profile: RoCProfile) -> np.ndarray:
@@ -239,15 +238,13 @@ def _rho_of(profile: RoCProfile) -> np.ndarray:
 
 
 def reparameterize(M: MoebiusElement, profile: RoCProfile,
-                   cal: Optional[Calibration | float | str] = "auto",
-                   reversed_branch: bool = False) -> Reparameterization:
+                   cal: Optional[Calibration | float | str] = "auto") -> Reparameterization:
     """Image Gauss angles from sin(theta~) = A*(c*rho + d*sin(theta)).
 
     With cal='auto', A is 1/max|c*rho + d*sin(theta)| (grid maximum with
     3-point parabolic refinement), which makes the map defined on the
     whole profile.  The branch follows the two-piece arcsine keyed on
-    theta <= pi/2; ``reversed_branch`` exposes the orientation-reversed
-    assignment.  The admissible sub-domain is where |RHS| <= 1.
+    theta <= pi/2.  The admissible sub-domain is where |RHS| <= 1.
     """
     if np.any(~np.isfinite(profile.r1)):
         raise FlatPointError("reparameterization needs finite r1 on the grid")
@@ -276,14 +273,9 @@ def reparameterize(M: MoebiusElement, profile: RoCProfile,
     uu = np.clip(u[mask], 0.0, 1.0)
     th = theta[mask]
     base = np.arcsin(uu)
-    north = th <= math.pi / 2.0
-    if not reversed_branch:
-        theta_tilde = np.where(north, base, math.pi - base)
-    else:
-        theta_tilde = np.where(north, math.pi - base, base)
+    theta_tilde = np.where(th <= math.pi / 2.0, base, math.pi - base)
     return Reparameterization(M=M, A=A, theta=th, theta_tilde=theta_tilde,
-                              mask=mask, auto_calibrated=auto,
-                              reversed_branch=reversed_branch)
+                              mask=mask, auto_calibrated=auto)
 
 
 @dataclass
@@ -361,8 +353,7 @@ def _equator_patched_h(theta: np.ndarray, theta_tilde: np.ndarray,
 
 def induced_surface(M: MoebiusElement, profile: RoCProfile,
                     cal: Optional[Calibration | float | str] = "auto",
-                    h_anchor: float = 0.0,
-                    reversed_branch: bool = False) -> TransformedSurface:
+                    h_anchor: float = 0.0) -> TransformedSurface:
     """The surface of revolution whose RoC diagram is the image of the input.
 
     Degenerate cases follow the classification: r1 = -d/c identically
@@ -379,7 +370,7 @@ def induced_surface(M: MoebiusElement, profile: RoCProfile,
             return TransformedSurface(kind="cone", M=M,
                                       notes="r2 = -d/c identically: image is a cone")
 
-    rep = reparameterize(M, profile, cal, reversed_branch=reversed_branch)
+    rep = reparameterize(M, profile, cal)
     theta = rep.theta
     order = np.argsort(rep.theta_tilde)
     theta_sorted = theta[order]

@@ -83,11 +83,16 @@ def _pole_distance(thetas: np.ndarray, side: str) -> np.ndarray:
     return thetas if side == "north" else math.pi - thetas
 
 
-def _s_values(profile: RoCProfile, thetas: np.ndarray) -> np.ndarray:
-    """r2 - r1 on the ladder, via a direct excess evaluator when available."""
+def _radii(profile: RoCProfile, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r1 and s = r2 - r1 on the ladder from one evaluator call, s via a direct
+    excess evaluator when available."""
+    if profile.evaluator is not None:
+        r1, r2 = np.asarray(profile.evaluator(thetas), dtype=float)
+    else:
+        r1, r2 = profile.r1_at(thetas), profile.r2_at(thetas)
     if profile.s_fn is not None:
-        return np.asarray([float(profile.s_fn(th)) for th in thetas])
-    return np.asarray(profile.r2_at(thetas) - profile.r1_at(thetas), dtype=float)
+        return r1, np.asarray([float(profile.s_fn(th)) for th in thetas])
+    return r1, np.asarray(r2 - r1, dtype=float)
 
 
 def _log_fit(pole_dist: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -128,8 +133,7 @@ def umbilic_slope_estimate(profile: RoCProfile, r0: Optional[float] = None,
         south_gap = math.pi - profile.theta_max
         side = "north" if north_gap <= south_gap else "south"
     thetas = _ladder(profile, side, theta_ref, k_max)
-    r1 = np.asarray(profile.r1_at(thetas), dtype=float)
-    s = _s_values(profile, thetas)
+    r1, s = _radii(profile, thetas)
     noise = _value_noise(profile)
     scale = max(float(np.max(np.abs(r1))), 1e-30)
     if np.all(np.abs(s) <= max(1e-13 * scale, 10.0 * noise)):
@@ -182,8 +186,7 @@ def umbilic_slope_estimate(profile: RoCProfile, r0: Optional[float] = None,
     convergent = bool(dvals[-1] <= 2.0 * dvals[0] + 10.0 * noise)
 
     alpha = slope - 1.0
-    rate = vanishing_rate_estimate(profile, alpha, side=side,
-                                   theta_ref=theta_ref, k_max=k_max)
+    rate = _rate_estimate(profile, alpha, side, thetas, s)
     return UmbilicAnalysis(slope_estimate=slope, slope_ci=ci,
                            vanishing_exponent=alpha,
                            vanishing_coefficient=rate.value,
@@ -203,7 +206,12 @@ def vanishing_rate_estimate(profile: RoCProfile, alpha: float, side: str = "nort
     by more than 2x on three consecutive rungs.
     """
     thetas = _ladder(profile, side, theta_ref, k_max)
-    s = _s_values(profile, thetas)
+    return _rate_estimate(profile, alpha, side, thetas, _radii(profile, thetas)[1])
+
+
+def _rate_estimate(profile: RoCProfile, alpha: float, side: str,
+                   thetas: np.ndarray, s: np.ndarray) -> RateEstimate:
+    """vanishing_rate_estimate on a ladder whose r2 - r1 values are known."""
     noise = _value_noise(profile)
     pole_dist = _pole_distance(thetas, side)
     if profile.s_fn is None:

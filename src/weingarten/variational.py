@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq  # noqa: F401  (no caller; traced by bench/layertrace.py)
+from scipy.integrate import RK45, OdeSolution, solve_ivp
+from scipy.optimize import brentq
 
 from .geometry import POLE_EPS, SupportProfile
 from .numerics import StackedDense
@@ -48,6 +48,8 @@ from .relations import (
     eval_F_prime,
     fixed_points,
 )
+
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "VariationalState",
@@ -127,15 +129,59 @@ def _closed_forms(rel: WeingartenRelation):
     return (lambda u: np.log(g(u)) / (1.0 - lam), lambda u: g(u) ** (lam / (1.0 - lam)), G2)
 
 
+def _J_stop(u, y):
+    """The |J| <= 690 stop of the numeric J run (exp(J) stays finite)."""
+    return 690.0 - abs(y[0])
+
+
+class _JRun:
+    """One side of the numeric (J, G2) run: RK45 from the base point toward an
+    interval end, stepped only as far as queries reach.
+
+    The steps, the stop at |J| = 690 (its root found as ``solve_ivp`` finds
+    a terminal event's) and so every dense value are those of one
+    ``solve_ivp`` run over the whole side.
+    """
+
+    def __init__(self, rhs, base: float, end: float):
+        self.solver = RK45(rhs, base, [0.0, 0.0], end, rtol=1e-12, atol=1e-14)
+        self.ts, self.segments = [base], []
+        self.stopped = self.solver.status != "running"
+        self.dense = None
+
+    def cover(self, u: float) -> Optional[StackedDense]:
+        """Dense output over the run so far (None before its first step),
+        stepped on until it passes ``u`` or the run ends."""
+        solver, grown = self.solver, False
+        while not self.stopped and solver.direction * (u - self.ts[-1]) > 0.0:
+            solver.step()
+            if solver.status == "failed":
+                self.stopped = True
+                break
+            sol, t = solver.dense_output(), solver.t
+            if _J_stop(t, solver.y) <= 0.0:
+                t = brentq(lambda x: _J_stop(x, sol(x)), solver.t_old, t,
+                           xtol=4 * _EPS, rtol=4 * _EPS)
+                self.stopped = True
+            self.stopped |= solver.status == "finished"
+            if t != self.ts[-1]:
+                self.ts.append(t)
+                self.segments.append(sol)
+                grown = True
+        if grown:
+            self.dense = StackedDense(OdeSolution(self.ts, self.segments))
+        return self.dense
+
+
 class Multiplier:
     """The translation-invariant multiplier Phi0 and its antiderivatives.
 
     Valid on a fixed-point-free interval around ``base_point``; linear
     Hopf and cubic relations use their closed forms (matching the
     literature normalization), everything else integrates
-    J' = 1/(u - F(u)) densely from the base point.  Every method takes a
-    float (and returns a float) or an array (one dense-output call per
-    side of the base point).
+    J' = 1/(u - F(u)) from the base point, each side only as far as the
+    queries so far reach.  Every method takes a float (and returns a
+    float) or an array (one dense-output call per side of the base point).
     """
 
     def __init__(self, rel: WeingartenRelation, base_point: float,
@@ -150,7 +196,7 @@ class Multiplier:
         if interval is None:
             interval = self._enclosing_interval()
         self.interval = (float(interval[0]), float(interval[1]))
-        self._dense = None
+        self._runs = None                  # the numeric J, stepped on demand
         self._forms = _closed_forms(rel)   # numpy (J, Phi0, G2), or None for numeric J
 
     # -- construction helpers ------------------------------------------------
@@ -163,57 +209,67 @@ class Multiplier:
         pad = 1e-12 * max(1.0, abs(lo), abs(hi))
         return (lo + pad, hi - pad)
 
+    def _inside(self, u: np.ndarray) -> np.ndarray:
+        return (u >= self.interval[0] - 1e-12) & (u <= self.interval[1] + 1e-12)
+
     def _check(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if np.any(u < self.interval[0] - 1e-12) or np.any(u > self.interval[1] + 1e-12):
+        if not np.all(self._inside(u)):
             raise SingularMultiplierError(
                 f"argument outside the fixed-point-free interval {self.interval}")
         return u
 
-    def _dense_J(self):
-        if self._dense is None:
+    def defined(self, u) -> np.ndarray:
+        """Mask of the arguments every method accepts: inside the interval
+        and, for a numeric J, within the reach of its run."""
+        u = np.asarray(u, dtype=float)
+        ok = self._inside(u)
+        if self._forms is None and ok.any():
+            ok[ok] = ~np.isnan(self._J_and_G2(u[ok])[0])
+        return ok
+
+    def _J_runs(self) -> dict:
+        """The two sides of the numeric J run, keyed by ``below`` the base point."""
+        if self._runs is None:
             def rhs(u, y):
                 F = float(eval_F_float(self.rel, u))
                 j = 1.0 / (u - F)
                 return [j, self._sign * math.exp(min(y[0], 700.0))]
 
-            def ev(u, y):
-                return 690.0 - abs(y[0])
-            ev.terminal = True
-
-            lo, hi = self.interval
-            sols = {}
-            for end in (lo, hi):
-                if end == self.base_point:
-                    continue
-                sols[end < self.base_point] = StackedDense(solve_ivp(
-                    rhs, (self.base_point, end), [0.0, 0.0], method="RK45",
-                    rtol=1e-12, atol=1e-14, dense_output=True, events=ev).sol)
-            self._dense = sols
-        return self._dense
+            self._runs = {end < self.base_point: _JRun(rhs, self.base_point, end)
+                          for end in self.interval if end != self.base_point}
+        return self._runs
 
     def _J_and_G2(self, u: np.ndarray) -> np.ndarray:
-        """Numeric rows (J(u), G2(u)) anchored at the base point."""
+        """Numeric rows (J(u), G2(u)) anchored at the base point; NaN beyond the
+        reach of the run."""
         flat = np.ravel(u)
         out = np.zeros((2, flat.size))
-        sols = self._dense_J()
+        runs = self._J_runs()
         for below, side in ((True, flat < self.base_point), (False, flat > self.base_point)):
             if not side.any():
                 continue
-            if below not in sols:
-                raise SingularMultiplierError("argument outside the integrated interval")
-            tmin, tmax = sols[below].ts_sorted[[0, -1]]
-            if np.any(flat[side] < tmin - 1e-12) or np.any(flat[side] > tmax + 1e-12):
-                raise SingularMultiplierError("argument beyond the multiplier's reach")
-            out[:, side] = sols[below](flat[side])
+            out[:, side] = np.nan
+            pts = flat[side]
+            dense = runs[below].cover(pts.min() if below else pts.max()) if below in runs else None
+            if dense is not None:
+                tmin, tmax = dense.ts_sorted[[0, -1]]
+                reached = (pts >= tmin - 1e-12) & (pts <= tmax + 1e-12)
+                out[:, np.flatnonzero(side)[reached]] = dense(pts[reached])
         return out.reshape((2,) + np.shape(u))
+
+    def _numeric(self, u: np.ndarray) -> np.ndarray:
+        out = self._J_and_G2(u)
+        if np.isnan(out).any():
+            raise SingularMultiplierError("argument beyond the multiplier's reach")
+        return out
 
     # -- core evaluations ----------------------------------------------------
 
     def J(self, u):
         """Antiderivative of 1/(u - F(u)); closed form where available."""
         x = self._check(u)
-        return _like(u, self._forms[0](x) if self._forms else self._J_and_G2(x)[0])
+        return _like(u, self._forms[0](x) if self._forms else self._numeric(x)[0])
 
     def phi0(self, u):
         """Phi0(u) = exp(J(u))/|u - F(u)| (strictly positive)."""
@@ -234,7 +290,7 @@ class Multiplier:
     def G2(self, u):
         """Outer antiderivative of Phi0 (second antiderivative, convex)."""
         x = self._check(u)
-        return _like(u, self._forms[2](x) if self._forms else self._J_and_G2(x)[1])
+        return _like(u, self._forms[2](x) if self._forms else self._numeric(x)[1])
 
     def I_exp(self, u):
         """exp(int du/(F - u)) = exp(-J(u)) (the angular part of I)."""
@@ -554,9 +610,52 @@ def first_integral_I(rel: WeingartenRelation, state: VariationalState,
     return _mult_at(rel, state, mult).I_exp(state.r1) / np.sin(state.theta)
 
 
+def _level_curves(rel: WeingartenRelation, interval: tuple[float, float],
+                  th: np.ndarray, r1: np.ndarray, theta_base: float) -> np.ndarray:
+    """(x, q) at theta_base along the level curves of I from (th_i, r1_i), in one run.
+
+    Curve i runs over s in [0, 1] at u_i = th_i + s (theta_base - th_i)
+    with x' = cot(u) (F(x) - x) du/ds and q' = (F(x) - x)/sin(u) du/ds.
+    A curve that reaches an end of ``interval`` gets NaN and the others
+    run again without it; a failed run splits into one run per curve, so
+    that only the curves that fail on their own get NaN.
+    """
+    lo, hi = interval
+    out = np.full((2, len(th)), np.nan)
+    live = np.arange(len(th))
+    while live.size:
+        k, start, span = live.size, th[live], theta_base - th[live]
+
+        def rhs(s, y):
+            u = start + s * span
+            g = (eval_F_float(rel, y[:k]) - y[:k]) * span
+            return np.concatenate([g / np.tan(u), g / np.sin(u)])
+
+        def leaves(s, y):
+            return np.min((y[:k] - lo) * (hi - y[:k]))
+        leaves.terminal = True
+
+        try:
+            sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([r1[live], np.zeros(k)]),
+                            method="DOP853", rtol=1e-13, atol=1e-14, events=leaves)
+        except ArithmeticError:   # F left its domain on a curve
+            sol = None
+        if sol is not None and sol.status == 0:
+            out[:, live] = sol.y[:, -1].reshape(2, k)
+        elif sol is not None and sol.status == 1:
+            x = sol.y_events[0][-1][:k]
+            live = np.delete(live, np.argmin((x - lo) * (hi - x)))
+            continue
+        elif k > 1:
+            for i in live:
+                out[:, [i]] = _level_curves(rel, interval, th[[i]], r1[[i]], theta_base)
+        break
+    return out
+
+
 def first_integral_Q(rel: WeingartenRelation, state: VariationalState,
                      mult: Optional[Multiplier] = None,
-                     theta_base: float = 1e-3) -> float:
+                     theta_base: float = 1e-3):
     """The second first integral, integrated along the level curve of I.
 
     The level curve x = r1(C, u) of I through the state solves
@@ -573,36 +672,29 @@ def first_integral_Q(rel: WeingartenRelation, state: VariationalState,
     anchor-free convention up to O(theta_base^2) when the level curve
     r1(C, u) has a finite pole limit; trajectories whose r1 diverges at
     the pole (e.g. constant-mean-curvature ones) need an interior
-    theta_base instead.  A level curve that leaves the multiplier's
-    fixed-point-free interval before theta_base raises
-    SingularMultiplierError.
+    theta_base instead.  A state of arrays gives an array from one run
+    over all its level curves.  A level curve that starts outside the
+    multiplier's fixed-point-free interval, leaves it before theta_base
+    or fails to integrate, or a state at theta = pi/2, raises
+    SingularMultiplierError for a scalar state and gives NaN in an array.
     """
     m = _mult_at(rel, state, mult)
-    th = state.theta
-    if abs(math.cos(th)) < 1e-9:
-        raise SingularMultiplierError("Q is evaluated away from theta = pi/2")
-    r1_th = float(m._check(state.r1))
-    lo, hi = m.interval
-
-    def rhs(u, y):
-        g = float(eval_F_float(rel, y[0])) - y[0]
-        return [g / math.tan(u), g / math.sin(u)]
-
-    def leaves(u, y):
-        return (y[0] - lo) * (hi - y[0])
-    leaves.terminal = True
-
-    try:
-        sol = solve_ivp(rhs, (th, theta_base), [r1_th, 0.0], method="DOP853",
-                        rtol=1e-13, atol=1e-14, events=leaves)
-    except ArithmeticError as exc:
-        raise SingularMultiplierError(f"level curve of I failed: {exc}") from exc
-    if sol.status != 0:  # an interval end was reached (status 1) or the solver failed
-        raise SingularMultiplierError(f"level curve of I from theta={th} did not reach "
-                                      f"theta_base={theta_base} in {m.interval}: {sol.message}")
-    r1_base, minus_integral = sol.y[:, -1]
-    return ((state.r - r1_th) / math.cos(th)
-            + r1_base / math.cos(theta_base) - minus_integral)
+    th, r, r1 = (np.ravel(v).astype(float) for v in
+                 np.broadcast_arrays(state.theta, state.r, state.r1))
+    if np.ndim(state.theta) == 0:
+        if abs(math.cos(th[0])) < 1e-9:
+            raise SingularMultiplierError("Q is evaluated away from theta = pi/2")
+        m._check(r1)
+    ok = (np.abs(np.cos(th)) >= 1e-9) & m._inside(r1)
+    x_base, minus_integral = _level_curves(rel, m.interval, th[ok], r1[ok], theta_base)
+    Q = np.full(th.shape, np.nan)
+    Q[ok] = (r[ok] - r1[ok]) / np.cos(th[ok]) + x_base / math.cos(theta_base) - minus_integral
+    if np.ndim(state.theta) == 0:
+        if math.isnan(Q[0]):
+            raise SingularMultiplierError(f"level curve of I from theta={th[0]} did not reach "
+                                          f"theta_base={theta_base} in {m.interval}")
+        return float(Q[0])
+    return Q.reshape(np.shape(state.r1))
 
 
 def jlm_ratio_check(rel: WeingartenRelation,

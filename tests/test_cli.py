@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from weingarten import MoebiusElement, parse_relation, transform_relation
+from weingarten import MoebiusElement, VariationalState, parse_relation, transform_relation
+from weingarten import cli
 from weingarten.cli import main
 from weingarten.profile_io import read_profile_csv
 
@@ -159,6 +160,28 @@ class TestVariationalCmd:
         assert rep["el_residual_max"] <= 1e-6
         assert rep["helmholtz_residual_max"] <= 1e-6
         assert rep["I_drift"] <= 1e-6
+
+    def test_Q_drift_from_the_level_curves_that_stay_inside(self, tmp_path, monkeypatch):
+        args = ["variational", "--relation", "r2 = 2.5*r1 + 0.05*sin(r1)", "--lagrangian", "L0",
+                "--theta0", "0.75", "--r1", "0.8", "--theta1", "0.3", "--theta2", "1.2"]
+        clean_path = os.path.join(tmp_path, "clean.json")
+        assert run(args + ["--report", clean_path]) == 0
+        real_Q = cli.first_integral_Q
+
+        def with_a_leaving_member(rel, state, mult, theta_base):
+            # toward theta_base = 0.3 the level curve from (0.05, r1 = 5) rises
+            # past the multiplier interval's upper end
+            extra = VariationalState(np.append(state.theta, 0.05), np.append(state.r, 5.0),
+                                     np.append(state.rdot, 0.0))
+            Q = real_Q(rel, extra, mult, theta_base=theta_base)
+            assert math.isnan(Q[-1]) and np.all(np.isfinite(Q[:-1]))
+            return Q
+
+        monkeypatch.setattr(cli, "first_integral_Q", with_a_leaving_member)
+        rep_path = os.path.join(tmp_path, "v.json")
+        assert run(args + ["--report", rep_path]) == 0
+        rep, clean = json.load(open(rep_path)), json.load(open(clean_path))
+        assert math.isfinite(rep["Q_drift"]) and rep["Q_drift"] == clean["Q_drift"]
 
     def test_interval_across_equator_exit_3(self):
         rc = run(["variational", "--relation", "r2 = 2*r1", "--lagrangian", "L0",

@@ -99,6 +99,16 @@ class TestStopReasons:
         assert 0.0 <= p.r1.min() < 1e-6
         assert np.array_equal(p.r2, 3.0 - np.sqrt(p.r1))
 
+    def test_run_into_a_pole_of_F(self):
+        # r1 -> 1 on both sides, where |F| grows like 1/(r1 - 1): RK45's steps
+        # underflow while |F| is about 2e7, below the blow-up cap
+        p = integrate_cm(parse_relation("r2 = 1/(r1 - 1) + r1"), math.pi / 2.0, 1.5)
+        assert p.meta["stop_left"] == p.meta["stop_right"] == "f_pole"
+        assert p.meta["stop_reason"] == "left:f_pole,right:f_pole"
+        assert 1.0 < p.r1.min() < 1.0 + 1e-6
+        smooth = integrate_cm(parse_relation("r2 = 2*r1 + sin(r1)/10"), math.pi / 2.0, 1.0)
+        assert smooth.meta["stop_reason"] == "completed"
+
     def test_start_outside_the_domain_of_F_raises(self):
         # F(-1) = sqrt(-1) + 1 is undefined: there is no first step to take
         with pytest.raises(IntegrationError, match="not defined at r1_0"):

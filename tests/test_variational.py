@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from weingarten import (
     CubicL1Spec,
@@ -31,7 +32,8 @@ from weingarten import (
     second_variation,
     sine_perturbation_basis,
 )
-from weingarten.numerics import adaptive_simpson
+from weingarten.numerics import StackedDense, adaptive_simpson
+from weingarten.relations import eval_F_float
 from weingarten.variational import SingularMultiplierError, lagrangian_partials
 
 
@@ -486,3 +488,161 @@ class TestQReference:
             (state.r - x(1.0)) / math.cos(1.0) + x(0.5) / math.cos(0.5)
             + adaptive_simpson(lambda u: (1.0 - 0.5 * x(u)) / math.sin(u), 0.5, 1.0,
                                abs_tol=1e-13, rel_tol=1e-12), rel=1e-9)
+
+
+# relation, base point and query window; the last one's J run stops at
+# |J| = 690 near u = 0.002, inside its window (the base point is outside it)
+LAZY_CASES = {
+    "explicit": (explicit_relation(2.5, 0.05), 0.8, (0.05, 3.8)),
+    "semi-quadratic": (SemiQuadratic(0.0, 1.0, 1.0, -4.0), 1.0, (0.6, 4.0)),
+    "J stop": (parse_relation("r2 = 0.99*r1 + 0.001*sin(r1)"), 1.0, (1e-3, 0.02)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def full_J_runs(case):
+    """The numeric (J, G2) of a case as one solve_ivp run over each whole side
+    of the base point, with the |J| <= 690 terminal event."""
+    rel, base, _ = LAZY_CASES[case]
+    m = Multiplier(rel, base)
+    sign = math.copysign(1.0, base - eval_F_float(rel, base))
+
+    def rhs(u, y):
+        F = float(eval_F_float(rel, u))
+        return [1.0 / (u - F), sign * math.exp(min(y[0], 700.0))]
+
+    def ev(u, y):
+        return 690.0 - abs(y[0])
+    ev.terminal = True
+    return {end < base: StackedDense(solve_ivp(rhs, (base, end), [0.0, 0.0], method="RK45",
+                                               rtol=1e-12, atol=1e-14, dense_output=True,
+                                               events=ev).sol)
+            for end in m.interval}
+
+
+def full_J_and_G2(case, u):
+    """(J, G2) at u from the full runs, or None where a point is beyond their reach."""
+    _, base, _ = LAZY_CASES[case]
+    out = np.zeros((2, len(u)))
+    for below, side in ((True, u < base), (False, u > base)):
+        if side.any():
+            dense = full_J_runs(case)[below]
+            lo, hi = dense.ts_sorted[[0, -1]]
+            if np.any(u[side] < lo - 1e-12) or np.any(u[side] > hi + 1e-12):
+                return None
+            out[:, side] = dense(u[side])
+    return out
+
+
+class TestLazyJ:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(LAZY_CASES)),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+                              st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)),
+                    min_size=1, max_size=6))
+    def test_lazy_J_equals_full_run(self, case, queries):
+        # a fresh multiplier steps J only as far as each query in turn needs
+        rel, base, (a, b) = LAZY_CASES[case]
+        m = Multiplier(rel, base)
+        for centre, width, offsets in queries:
+            u = np.clip(a + centre * (b - a) + width * np.array(offsets), a, b)
+            want = full_J_and_G2(case, u)
+            if want is None:
+                with pytest.raises(SingularMultiplierError):
+                    m.J(u)
+                assert not np.all(m.defined(u))
+                continue
+            assert np.array_equal(np.array([m.J(u), m.G2(u)]), want)
+            assert m.J(float(u[0])) == want[0, 0]
+            assert np.all(m.defined(u))
+
+    def test_queries_near_the_base_step_a_fraction_of_the_run(self):
+        rel, base, _ = LAZY_CASES["semi-quadratic"]
+        m = Multiplier(rel, base)
+        m.J(np.linspace(0.9, 1.1, 5))
+        steps = {below: len(run.segments) for below, run in m._J_runs().items()}
+        full = {below: len(dense.h) for below, dense in full_J_runs("semi-quadratic").items()}
+        assert steps[True] < full[True] / 10 and steps[False] < full[False] / 2
+
+    def test_reach_ends_at_the_J_stop(self):
+        rel, base, _ = LAZY_CASES["J stop"]
+        m = Multiplier(rel, base)
+        with pytest.raises(SingularMultiplierError):
+            m.J(1e-3)
+        stop = full_J_runs("J stop")[True].ts_sorted[0]
+        assert 1e-3 < stop < 0.01 and m._J_runs()[True].ts[-1] == stop
+        assert m.J(stop) == full_J_and_G2("J stop", np.array([stop]))[0, 0]
+        assert not m.defined(np.array([1e-3]))[0] and m.defined(np.array([stop]))[0]
+
+
+def _off_trajectory_states(m, n, rng):
+    """n states with r1 inside the multiplier interval, off the equator."""
+    th = rng.uniform(0.3, 1.4, n)
+    r1 = rng.uniform(max(m.interval[0], m.base_point - 0.5), min(m.interval[1], m.base_point + 0.5), n)
+    r = r1 + rng.uniform(-0.5, 0.5, n)
+    return VariationalState(th, r, (r1 - r) * np.tan(th))
+
+
+class TestArrayQ:
+    Q_RTOL = 1e-12   # array Q against per-state scalar Q
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([(LinearHopf(2.0, 0.0), 1.0), (LinearHopf(3.0, -3.0), 2.0),
+                            (explicit_relation(2.5, 0.05), 0.8),
+                            (SemiQuadratic(0.0, 1.0, 1.0, -4.0), 1.5)]),
+           st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-3, 0.3]))
+    def test_array_Q_equals_scalar_Q(self, case, n, seed, theta_base):
+        rel, base = case
+        m = Multiplier(rel, base)
+        state = _off_trajectory_states(m, n, np.random.default_rng(seed))
+        got = first_integral_Q(rel, state, m, theta_base=theta_base)
+        assert got.shape == (n,)
+        for i in range(n):
+            one = VariationalState(state.theta[i], state.r[i], state.rdot[i])
+            try:
+                want = first_integral_Q(rel, one, m, theta_base=theta_base)
+            except SingularMultiplierError:
+                assert math.isnan(got[i])
+                continue
+            assert type(want) is float
+            assert got[i] == pytest.approx(want, rel=self.Q_RTOL, abs=self.Q_RTOL)
+
+    def test_member_leaving_the_interval_gets_nan(self):
+        # r2 = 0.5 r1 + 1 from base 1: the interval is (-9, 2); the level
+        # curve from (1, r1 = 1) passes -9 before theta_base = 1e-3, the ones
+        # from r1 = 1.8 and 1.9 stay inside
+        rel = LinearHopf(0.5, 1.0)
+        m = Multiplier(rel, 1.0)
+        th = np.array([1.0, 0.8, 1.2, 0.6])
+        r1 = np.array([1.0, 1.8, 1.8, 1.9])
+        r = np.array([1.0, 1.5, 2.5, 0.3])
+        state = VariationalState(th, r, (r1 - r) * np.tan(th))
+        got = first_integral_Q(rel, state, m, theta_base=1e-3)
+        assert math.isnan(got[0]) and np.all(np.isfinite(got[1:]))
+        rest = VariationalState(state.theta[1:], state.r[1:], state.rdot[1:])
+        assert np.array_equal(got[1:], first_integral_Q(rel, rest, m, theta_base=1e-3))
+        for i in (1, 2, 3):
+            one = VariationalState(state.theta[i], state.r[i], state.rdot[i])
+            assert got[i] == pytest.approx(first_integral_Q(rel, one, m, theta_base=1e-3),
+                                           rel=self.Q_RTOL)
+
+    def test_failed_run_costs_only_the_failing_member(self):
+        # F - u = u + 1 + sqrt(u) > 0 where F is defined: toward the pole every
+        # level curve falls toward r1 = -1 and the one from r1 = 0.5 leaves
+        # F's domain at r1 = 0 before theta_base, inside the interval given
+        rel = parse_relation("r2 = 2*r1 + 1 + sqrt(r1)")
+        m = Multiplier(rel, 10.0, interval=(-5.0, 40.0))
+        th, r1 = np.array([1.2, 1.2, 1.0]), np.array([0.5, 20.0, 15.0])
+        r = r1 + 0.1
+        got = first_integral_Q(rel, VariationalState(th, r, (r1 - r) * np.tan(th)), m,
+                               theta_base=0.3)
+        assert math.isnan(got[0])
+        singles = []
+        for i in range(3):
+            one = VariationalState(th[i], r[i], (r1[i] - r[i]) * math.tan(th[i]))
+            try:
+                singles.append(first_integral_Q(rel, one, m, theta_base=0.3))
+            except SingularMultiplierError:
+                singles.append(math.nan)
+        # the batch split into one run per member
+        np.testing.assert_array_equal(got, singles)
