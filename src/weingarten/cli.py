@@ -91,6 +91,17 @@ def _base_report(config: dict) -> dict:
     return {"schema": 1, "tool": f"weingarten {__version__}", "config": config}
 
 
+def _umbilic_report(profile) -> Optional[dict]:
+    """The umbilic slope estimate of a profile; None where it is undefined."""
+    try:
+        ua = umbilic_slope_estimate(profile)
+    except (UndefinedSlopeError, ValueError):
+        return None
+    return {"slope": ua.slope_estimate, "ci": ua.slope_ci,
+            "alpha": ua.vanishing_exponent, "gamma": ua.vanishing_coefficient,
+            "rate_class": ua.rate_class}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,14 +146,6 @@ def cmd_integrate(config: dict) -> int:
     out_csv = config.get("output")
     if out_csv:
         write_profile_csv(out_csv, bundle)
-    umbilic = None
-    try:
-        ua = umbilic_slope_estimate(profile)
-        umbilic = {"slope": ua.slope_estimate, "ci": ua.slope_ci,
-                   "alpha": ua.vanishing_exponent, "gamma": ua.vanishing_coefficient,
-                   "rate_class": ua.rate_class}
-    except (UndefinedSlopeError, ValueError):
-        pass
     report = _base_report(config)
     report.update({
         "relation": render_relation(rel),
@@ -151,7 +154,7 @@ def cmd_integrate(config: dict) -> int:
         "grid_stats": {"n": len(profile.grid),
                        "theta_min": profile.theta_min,
                        "theta_max": profile.theta_max},
-        "umbilic": umbilic,
+        "umbilic": _umbilic_report(profile),
         "residual_max": float(np.nanmax(np.abs(residual))),
     })
     _emit(report, config.get("report"))
@@ -318,14 +321,7 @@ def cmd_report(config: dict) -> int:
                        "theta_max": profile.theta_max},
         "residual_max": float(np.nanmax(np.abs(res))),
     })
-    try:
-        ua = umbilic_slope_estimate(profile)
-        report["umbilic"] = {"slope": ua.slope_estimate, "ci": ua.slope_ci,
-                             "alpha": ua.vanishing_exponent,
-                             "gamma": ua.vanishing_coefficient,
-                             "rate_class": ua.rate_class}
-    except (UndefinedSlopeError, ValueError):
-        report["umbilic"] = None
+    report["umbilic"] = _umbilic_report(profile)
     _emit(report, config.get("output"))
     return EXIT_OK
 

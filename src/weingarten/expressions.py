@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -84,71 +85,46 @@ class Func:
 Expr = Union[Const, Var, BinOp, Func]
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# one token after optional whitespace; a character no other group takes is "bad"
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<word>[^\W\d_]\w*)
+  | (?P<op>[-+*/^()=])
+  | (?P<bad>\S))""", re.VERBOSE)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def next_token(self) -> Optional[tuple[str, object, int]]:
-        """Return (kind, value, position) or None at end of input."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        start = self.pos
-        ch = self.text[start]
-        if ch in "+-*/^()=":
-            self.pos += 1
-            return ("op", ch, start)
-        if ch.isdigit() or ch == ".":
-            j = start
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit() or (self.text[j] == "." and not seen_dot)):
-                if self.text[j] == ".":
-                    seen_dot = True
-                j += 1
-            # exponent part of a float literal (1e-3)
-            if j < len(self.text) and self.text[j] in "eE":
-                k = j + 1
-                if k < len(self.text) and self.text[k] in "+-":
-                    k += 1
-                if k < len(self.text) and self.text[k].isdigit():
-                    while k < len(self.text) and self.text[k].isdigit():
-                        k += 1
-                    lit = self.text[start:k]
-                    self.pos = k
-                    return ("number", float(lit), start)
-            lit = self.text[start:j]
-            self.pos = j
-            return ("number", Fraction(lit), start)
-        if ch.isalpha():
-            j = start
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            word = self.text[start:j]
-            self.pos = j
-            if word in _FUNCS:
-                return ("func", word, start)
-            if word in _VARS:
-                return ("var", word, start)
-            raise ParseError(f"unknown identifier {word!r}", start)
-        raise ParseError(f"unexpected character {ch!r}", start)
+def _tokens(text: str) -> Iterator[tuple[str, object, int]]:
+    """Yield (kind, value, position) tokens; a bad one raises ParseError when reached."""
+    for m in _TOKEN.finditer(text):
+        kind, lit, start = m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
+        if kind == "number":
+            # exact Fractions, except for exponent literals (1e-3)
+            yield kind, (float(lit) if "e" in lit.lower() else Fraction(lit)), start
+        elif kind == "word":
+            if lit in _FUNCS:
+                yield "func", lit, start
+            elif lit in _VARS:
+                yield "var", lit, start
+            else:
+                raise ParseError(f"unknown identifier {lit!r}", start)
+        elif kind == "op":
+            yield kind, lit, start
+        else:
+            raise ParseError(f"unexpected character {lit!r}", start)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tok = _Tokenizer(text)
-        self.current = self.tok.next_token()
+        self.text = text
+        self.tokens = _tokens(text)
+        self.current = next(self.tokens, None)
 
     def _advance(self):
-        self.current = self.tok.next_token()
+        self.current = next(self.tokens, None)
 
     def _expect_op(self, op: str):
         if self.current is None or self.current[0] != "op" or self.current[1] != op:
-            pos = self.current[2] if self.current else len(self.tok.text)
+            pos = self.current[2] if self.current else len(self.text)
             raise ParseError(f"expected {op!r}", pos)
         self._advance()
 
@@ -191,7 +167,7 @@ class _Parser:
     def parse_base(self) -> Expr:
         cur = self.current
         if cur is None:
-            raise ParseError("unexpected end of input", len(self.tok.text))
+            raise ParseError("unexpected end of input", len(self.text))
         kind, value, pos = cur
         if kind == "op" and value in "+-":
             # unary sign
@@ -472,6 +448,16 @@ class NotPolynomial(Exception):
     pass
 
 
+def _poly_mul(left: dict, right: dict) -> dict[tuple[int, ...], Fraction]:
+    """Product of two polynomials {exponent tuple: coefficient}, zero terms dropped."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def as_polynomial(node: Expr, variables: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
     """Expand into a polynomial {exponent tuple: coefficient} over ``variables``.
 
@@ -501,16 +487,8 @@ def as_polynomial(node: Expr, variables: tuple[str, ...]) -> dict[tuple[int, ...
                     del out[e]
             return out
         if node.op == "*":
-            left = as_polynomial(node.left, variables)
-            right = as_polynomial(node.right, variables)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in left.items():
-                for e2, c2 in right.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-                    if out[e] == 0:
-                        del out[e]
-            return out
+            return _poly_mul(as_polynomial(node.left, variables),
+                             as_polynomial(node.right, variables))
         if node.op == "/":
             right = as_polynomial(node.right, variables)
             if len(right) != 1 or any(e != tuple(0 for _ in variables) for e in right):
@@ -527,14 +505,7 @@ def as_polynomial(node: Expr, variables: tuple[str, ...]) -> dict[tuple[int, ...
                 else Fraction(node.right.value)
             if n.denominator != 1 or n < 0:
                 raise NotPolynomial("non-natural exponent")
-            out = {tuple(0 for _ in variables): Fraction(1)}
             base = as_polynomial(node.left, variables)
-            for _ in range(int(n)):
-                nxt: dict[tuple[int, ...], Fraction] = {}
-                for e1, c1 in out.items():
-                    for e2, c2 in base.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        nxt[e] = nxt.get(e, Fraction(0)) + c1 * c2
-                out = {e: c for e, c in nxt.items() if c != 0}
-            return out
+            return functools.reduce(_poly_mul, [base] * int(n),
+                                    {tuple(0 for _ in variables): Fraction(1)})
     raise NotPolynomial(f"unsupported node {node!r}")

@@ -127,111 +127,25 @@ def umbilic_slope_formula(rel: SemiQuadratic | WeingartenRelation) -> dict:
 # transitivity
 
 
-def _pullback_residual(Mp: np.ndarray, src: SemiQuadratic, dst: SemiQuadratic) -> float:
-    """How far the substitution k -> (c + d k)/(a + b k) maps src onto dst."""
-    a, b, c, d = Mp[0, 0], Mp[0, 1], Mp[1, 0], Mp[1, 1]
-    al, be, ga, de = src.coefficients()
-    bg = be + ga
-    alp = al * d * d + de * b * b + bg * b * d
-    cross = al * c * d + de * a * b + bg * b * c
-    bep = cross + be
-    gap = cross + ga
-    dep = al * c * c + de * a * a + bg * a * c
-    got = np.array([alp, bep, gap, dep])
-    want = np.array(dst.coefficients())
-    return float(min(np.max(np.abs(got - want)), np.max(np.abs(got + want))))
+def _normal_form(sq: SemiQuadratic, sign: float) -> MoebiusElement:
+    """The element taking a normalized ``sq`` onto k2 = lambda*k1 with beta + gamma = sign.
 
-
-def _solve_pullback(src: SemiQuadratic, dst: SemiQuadratic) -> Optional[np.ndarray]:
-    """Matrix (a,b,c,d), det 1, whose curvature substitution maps src to dst.
-
-    Follows the constructive case split on delta' (the target constant
-    term): both relations must be normalized with equal Lambda1.
+    The image alpha and delta are Q(a, b) and Q(c, d) for the binary form
+    Q(x, y) = alpha x^2 - (beta+gamma) x y + delta y^2, whose matrix S has
+    det S = -Lambda2/4 < 0.  So the rows of the element are the two null
+    directions of S: with S's eigenpairs (w0 < 0, e0) and (w1 > 0, e1) they
+    are p +- q for p = sqrt(-w0) e1, q = sqrt(w1) e0, of equal length.
+    Then det = +-1 and the image beta + gamma = -2 (p+q)^T S (p-q) = -1;
+    negating one row gives +1 and swapping the rows fixes det = +1.
     """
-    al, be, ga, de = src.coefficients()
-    alp, bep, gap_, dep = dst.coefficients()
-    lam1 = be - ga
-
-    def with_det(a, c, d):
-        if abs(c) < 1e-14:
-            return None
-        b = (a * d - 1.0) / c
-        return np.array([[a, b], [c, d]])
-
-    candidates: list[np.ndarray] = []
-    if abs(dep) > 1e-13:
-        if abs(de) > 1e-13:
-            # smallest power-of-two c with a comfortably positive discriminant
-            c = 1.0
-            while c ** 2 + 4.0 * de * dep < 1.0 and c < 2 ** 40:
-                c *= 2.0
-            disc = math.sqrt(c ** 2 + 4.0 * de * dep)
-            for sign in (+1.0, -1.0):
-                a = (-(lam1 + 2.0 * ga) * c + sign * disc) / (2.0 * de)
-                d = ((lam1 + 2.0 * gap_) * c + sign * disc) / (2.0 * dep)
-                m = with_det(a, c, d)
-                if m is not None:
-                    candidates.append(m)
-        else:
-            # delta = 0: beta + gamma = +-1 exactly on normalized relations
-            bg = lam1 + 2.0 * ga
-            if abs(bg) < 1e-13:
-                return None
-            c = 1.0
-            a = (dep - alp * 0.0 - al * c * c) / (c * bg)
-            d = c * (lam1 + ga + gap_) / dep
-            m = with_det(a, c, d)
-            if m is not None:
-                candidates.append(m)
-    else:
-        if abs(de) > 1e-13:
-            rev = _solve_pullback(dst, src)
-            if rev is None:
-                return None
-            candidates.append(np.linalg.inv(rev))
-        else:
-            # both constants vanish: gamma, gamma' in {(-L1+1)/2, (-L1-1)/2}
-            bg = lam1 + 2.0 * ga
-            bgp = lam1 + 2.0 * gap_
-            if abs(bg - bgp) < 1e-10:
-                # same branch: an upper-triangular solution exists
-                if abs(al) > 1e-13:
-                    b = 1.0
-                    while b ** 2 + 4.0 * al * alp < 1.0 and b < 2 ** 40:
-                        b *= 2.0
-                    disc = math.sqrt(b ** 2 + 4.0 * al * alp)
-                    for sign in (+1.0, -1.0):
-                        d = (-bg * b + sign * disc) / (2.0 * al)
-                        if abs(d) > 1e-13:
-                            candidates.append(np.array([[1.0 / d, b], [0.0, d]]))
-                elif abs(alp) > 1e-13:
-                    b = 1.0
-                    d = alp / (b * bg)
-                    if abs(d) > 1e-13:
-                        candidates.append(np.array([[1.0 / d, b], [0.0, d]]))
-                else:
-                    candidates.append(np.eye(2))
-            else:
-                # opposite branch: needs c != 0
-                c = 1.0
-                a = -al * c / bg
-                d = -alp * c / bg
-                m = with_det(a, c, d)
-                if m is not None:
-                    candidates.append(m)
-
-    best = None
-    best_score = math.inf
-    for m in candidates:
-        if abs(np.linalg.det(m) - 1.0) > 1e-9:
-            continue
-        res = _pullback_residual(m, src, dst)
-        if res > 1e-7:
-            continue
-        score = float(np.linalg.norm(m))
-        if score < best_score:
-            best, best_score = m, score
-    return best
+    al, be, ga, de = sq.coefficients()
+    h = -0.5 * (be + ga)
+    w, e = np.linalg.eigh(np.array([[al, h], [h, de]]))
+    p, q = math.sqrt(-w[0]) * e[:, 1], math.sqrt(w[1]) * e[:, 0]
+    rows = (p + q, sign * (q - p))
+    if np.linalg.det(np.array(rows)) < 0.0:
+        rows = rows[::-1]
+    return MoebiusElement(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
 
 def transitivity_solve(source: SemiQuadratic, target: SemiQuadratic) -> MoebiusElement:
@@ -251,17 +165,10 @@ def transitivity_solve(source: SemiQuadratic, target: SemiQuadratic) -> MoebiusE
     if abs(l1s ** 2 - l1t ** 2) > 1e-10:
         raise RelationError(
             f"transitivity requires equal Lambda1^2; got {l1s**2} vs {l1t**2}")
-    # a relation equals its negative, so align the sign of Lambda1 first
+    # a relation equals its negative, so align the sign of Lambda1 first;
+    # then both relations have a normal form k2 = lambda*k1 with beta + gamma = 1
     tgt = target.scaled(-1.0) if l1s * l1t < 0.0 else target
-    m = _solve_pullback(source, tgt)
-    if m is None:
-        m = _solve_pullback(source, tgt.scaled(-1.0))
-    if m is None:
-        raise RelationError("transitivity solver found no admissible matrix "
-                            "(incompatible parabolic signs)")
-    # the pullback substitution corresponds to transform by the inverse matrix
-    pull = MoebiusElement(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-    return pull.inverse()
+    return _normal_form(tgt, 1.0).inverse() @ _normal_form(source, 1.0)
 
 
 def reduce_to_pure_linear(rel: SemiQuadratic | WeingartenRelation) -> tuple[MoebiusElement, float]:
@@ -277,12 +184,8 @@ def reduce_to_pure_linear(rel: SemiQuadratic | WeingartenRelation) -> tuple[Moeb
     if abs(inv.lambda1 ** 2 - 1.0) <= 1e-10:
         raise ParabolicRelationError(
             "Lambda1^2 = Lambda2: canal relation; classify with canal_classify")
-    sign = math.copysign(1.0, inv.lambda1) if inv.lambda1 != 0.0 else 1.0
-    target = SemiQuadratic(0.0, 0.5 * (inv.lambda1 + sign),
-                           0.5 * (-inv.lambda1 + sign), 0.0)
-    M = transitivity_solve(sq, target)
-    image = transform_relation(M, sq)
-    img_sq = to_semiquadratic(image)
+    M = _normal_form(sq, math.copysign(1.0, inv.lambda1) if inv.lambda1 != 0.0 else 1.0)
+    img_sq = to_semiquadratic(transform_relation(M, sq))
     lam_out = -img_sq.beta / img_sq.gamma
     return M, float(lam_out)
 

@@ -756,11 +756,11 @@ def sine_perturbation_basis(n: int, theta1: float, theta2: float,
 
 def second_variation(spec: LagrangianSpec, rel: WeingartenRelation,
                      r_star: SupportProfile, v, interval: tuple[float, float],
-                     mult: Optional[Multiplier] = None,
-                     analytic: bool = True) -> float:
+                     mult: Optional[Multiplier] = None) -> float:
     """delta^2 S = int f1 v^2 + 2 f2 v v' + f3 v'^2 over the interval.
 
-    f1/f2/f3 are the second partials of L on the trajectory; for L0 the
+    f1/f2/f3 are the second partials of L on the trajectory (analytic for
+    the named kinds, numeric for a GeneralSpec); for L0 the
     interval must avoid theta = pi/2 (where tan^2 blows up) and the
     integrand also equals Phi0(r1) (tan(theta) v + v')^2.
     """
@@ -775,7 +775,7 @@ def second_variation(spec: LagrangianSpec, rel: WeingartenRelation,
     half = 0.5 * np.diff(edges)[:, None]
     ths = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
     state = VariationalState(ths, r_star.value(ths), r_star.rdot(ths))
-    parts = lagrangian_partials(spec, rel, state, mult, analytic=analytic)
+    parts = lagrangian_partials(spec, rel, state, mult)
     vv, vd = v_fun(ths), vd_fun(ths)
     integrand = (parts["L_rr"] * vv ** 2 + 2.0 * parts["L_r_rdot"] * vv * vd
                  + parts["L_rdot_rdot"] * vd ** 2)

@@ -228,6 +228,11 @@ def test_parse_cmd_variants(capsys):
     assert rep["coefficients"] == [3.0, -5.0]
 
 
+def test_parse_cmd_lone_dot_is_a_usage_error(capsys):
+    assert run(["parse", "--relation", "r2 = ."]) == 1
+    assert "position 5" in capsys.readouterr().err
+
+
 def test_deterministic_given_config_and_seed(tmp_path):
     args = ["variational", "--relation", "r2 = 2*r1", "--lagrangian", "L0",
             "--theta0", "0.75", "--r1", "0.68", "--theta1", "0.3",

@@ -24,6 +24,13 @@ def test_parse_errors_carry_position():
         parse_equation("r1 + r2")  # no '='
 
 
+@pytest.mark.parametrize("text, position", [(".", 0), ("r1 + .", 5), ("2 * . + r1", 4)])
+def test_lone_dot_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text)
+    assert exc.value.position == position
+
+
 @pytest.mark.parametrize("text, value", [
     ("2 + 3*4", 14.0),
     ("2^3", 8.0),            # single literal exponent per factor

@@ -373,6 +373,60 @@ class TestTransformRelation:
         assert got == pytest.approx(1.5 ** 3 + 1.0, rel=1e-12)
 
 
+def _det_one(abc):
+    a, b, c = abc
+    return MoebiusElement(a, b, c, (1.0 + b * c) / a)
+
+
+# det-1 matrices of every kind: a bounded away from 0, b and c of either sign
+group_elements = st.tuples(
+    st.one_of(st.floats(-3.0, -0.3), st.floats(0.3, 3.0)),
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(_det_one)
+semiquadratic_variants = st.one_of(
+    st.tuples(*[st.floats(-3, 3)] * 4).filter(lambda c: max(map(abs, c)) > 1e-3)
+    .map(lambda c: SemiQuadratic(*c)),
+    st.builds(LinearHopf, st.floats(-4, 4), st.floats(-5, 5)),
+    st.builds(PureKLinear, st.floats(-3, 3).filter(lambda x: abs(x) > 1e-3)),
+)
+
+
+class TestGroupLaw:
+    """transform_relation(M2, transform_relation(M1, R)) = transform_relation(M2 @ M1, R)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rel=semiquadratic_variants, M1=group_elements, M2=group_elements)
+    def test_semiquadratic_coefficients(self, rel, M1, M2):
+        def unit(r):
+            v = np.array(to_semiquadratic(r).coefficients())
+            return v / np.linalg.norm(v)
+        nested = unit(transform_relation(M2, transform_relation(M1, rel)))
+        composed = unit(transform_relation(M2 @ M1, rel))
+        assert min(np.max(np.abs(nested - composed)),
+                   np.max(np.abs(nested + composed))) <= 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(M1=group_elements, M2=group_elements)
+    def test_explicit_pointwise(self, M1, M2):
+        rel = parse_relation("r2 = r1^2/4 + sin(r1) + 1")
+        nested = transform_relation(M2, transform_relation(M1, rel))
+        composed = transform_relation(M2 @ M1, rel)
+        compared = 0
+        for x in np.linspace(-3.0, 3.0, 41):
+            # away from the poles of m^{-1} in both constructions
+            if min(abs(M2.a - M2.c * x), abs((M2 @ M1).a - (M2 @ M1).c * x)) < 1e-3:
+                continue
+            try:
+                want = eval_F(composed, x)
+                got = eval_F(nested, x)
+            except (ArithmeticError, ValueError):
+                continue
+            if want.is_inf or got.is_inf or abs(want.value) > 1e4:
+                continue
+            assert got.value == pytest.approx(want.value, rel=1e-8, abs=1e-8)
+            compared += 1
+        assert compared > 0
+
+
 class TestVerifyTransformProperties:
     def test_translation_preserves_slope(self, hopf_closed):
         rep = verify_transform_properties(MoebiusElement(1, 0.5, 0, 1), hopf_closed,

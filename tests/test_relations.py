@@ -70,6 +70,13 @@ class TestParse:
             parse_relation("r2 == r1")
         assert exc.value.position >= 0
 
+    def test_lone_dot_position(self):
+        from weingarten.expressions import ParseError
+
+        with pytest.raises(ParseError) as exc:
+            parse_relation("r2 = .")
+        assert exc.value.position == 5
+
 
 class TestEvalF:
     def test_linear_hopf(self):

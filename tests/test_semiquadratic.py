@@ -182,6 +182,49 @@ class TestReduce:
             reduce_to_pure_linear(SemiQuadratic(0.5, 1.0, 0.0, 0.0))  # L1^2 = L2 = 1
 
 
+def _coefficient_error(got, want):
+    got, want = np.array(got.coefficients()), np.array(want.coefficients())
+    return min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
+
+
+class TestNormalFormEdgeCases:
+    """The null directions of the relation's quadratic form where a coefficient vanishes."""
+
+    EDGE = [
+        SemiQuadratic(0.0, 0.5, 0.5, -2.0),     # alpha = 0, Lambda1 = 0 (CMC)
+        SemiQuadratic(0.0, 2.0, -1.0, 3.0),     # alpha = 0, Lambda1 = 3
+        SemiQuadratic(0.7, 1.5, -0.5, 0.0),     # delta = 0, Lambda1 = 2
+        SemiQuadratic(-1.2, -0.2, -0.8, 0.0),   # delta = 0, beta + gamma = -1
+        SemiQuadratic(0.0, 1.0, -1.0 / 3.0, 0.0).normalized(),  # already pure-linear
+    ]
+
+    @pytest.mark.parametrize("sq", EDGE)
+    def test_reduce_hits_pure_linear(self, sq):
+        M, lam = reduce_to_pure_linear(sq)
+        assert abs(M.det - 1.0) <= 1e-12
+        img = to_semiquadratic(transform_relation(M, normalize(sq)))
+        assert abs(img.alpha) <= 1e-12 and abs(img.delta) <= 1e-12
+        assert lam == pytest.approx(-img.beta / img.gamma)
+
+    @pytest.mark.parametrize("sq", EDGE)
+    def test_source_equals_target(self, sq):
+        M = transitivity_solve(sq, sq)
+        assert abs(M.det - 1.0) <= 1e-12
+        assert _coefficient_error(to_semiquadratic(transform_relation(M, sq)), sq) <= 1e-9
+
+    @pytest.mark.parametrize("src, tgt", [
+        (SemiQuadratic(0.5, 1.0, 0.0, 0.0), SemiQuadratic(-2.0, 1.5, 0.5, -0.375)),  # L1 = 1, 1
+        (SemiQuadratic(0.5, 1.0, 0.0, 0.0), SemiQuadratic(0.8, -0.4, 0.6, -0.3)),    # L1 = 1, -1
+        (SemiQuadratic(0.0, 0.0, 1.0, -2.0), SemiQuadratic(0.0, 1.0, 0.0, -0.5)),    # k2 = 2 to k1 = 1/2
+        (SemiQuadratic(0.0, 0.0, 1.0, -2.0), SemiQuadratic(0.0, 0.0, 1.0, 0.0)),     # onto k2 = 0
+    ])
+    def test_parabolic_pairs(self, src, tgt):
+        assert invariants(src).klass == invariants(tgt).klass == "parabolic"
+        M = transitivity_solve(src, tgt)
+        assert abs(M.det - 1.0) <= 1e-12
+        assert _coefficient_error(to_semiquadratic(transform_relation(M, src)), tgt) <= 1e-9
+
+
 class TestCanalClassify:
     GRID = np.linspace(0.3, math.pi - 0.3, 101)
 
