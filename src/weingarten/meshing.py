@@ -107,8 +107,19 @@ def revolve_profile(curve: ProfileCurve3D, segments: int,
                         skipped_rows=skipped)
 
 
+def _g17_lines(prefix: str, values: np.ndarray) -> str:
+    """``prefix x y z`` lines at ``%.17g``, formatting each distinct |x| once; the
+    sign bit takes the ``-`` copy (``-0``, ``-inf``), except on NaN (``nan``)."""
+    flat = np.asarray(values, dtype=float).ravel()
+    mags, inverse = np.unique(np.abs(flat), return_inverse=True)
+    table = ("%.17g\n" * len(mags) % tuple(mags.tolist())).split("\n")[:-1]
+    table = np.array(table + ["-" + t for t in table], dtype=object)
+    tokens = table[inverse + len(mags) * (np.signbit(flat) & ~np.isnan(flat))]
+    return (f"{prefix} %s %s %s\n" * (len(flat) // 3)) % tuple(tokens.tolist())
+
+
 def export_obj(path: str, mesh: RevolvedMesh, comment: str = "") -> None:
-    """Write the mesh as Wavefront OBJ, atomically.
+    """Write the mesh as Wavefront OBJ, atomically, one section at a time.
 
     Coordinates and normals carry 17 significant digits; faces are
     1-based ``f a//a b//b c//c`` (vertex//normal, same index).
@@ -116,18 +127,17 @@ def export_obj(path: str, mesh: RevolvedMesh, comment: str = "") -> None:
     header = "# weingarten surface of revolution (axis +z)\n"
     if comment:
         header += f"# {comment}\n"
-    verts = np.asarray(mesh.vertices, dtype=float)
-    norms = np.asarray(mesh.normals, dtype=float)
     faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
-    # format each "k//k" corner once per vertex, not once per face corner
-    corners = np.array(["%d//%d" % (k, k) for k in range(1, len(verts) + 1)], dtype=object)
-    text = "".join([
-        header,
-        ("v %.17g %.17g %.17g\n" * len(verts)) % tuple(verts.ravel().tolist()),
-        ("vn %.17g %.17g %.17g\n" * len(norms)) % tuple(norms.ravel().tolist()),
-        ("f %s %s %s\n" * len(faces)) % tuple(corners[faces].ravel().tolist()),
-    ])
-    _atomic_write_text(path, text)
+
+    def sections():
+        yield header
+        yield _g17_lines("v", mesh.vertices)
+        yield _g17_lines("vn", mesh.normals)
+        # format each "k//k" corner once per vertex, not once per face corner
+        corners = np.array([f"{k}//{k}" for k in range(1, len(mesh.vertices) + 1)], dtype=object)
+        yield ("f %s %s %s\n" * len(faces)) % tuple(corners[faces].ravel().tolist())
+
+    _atomic_write_text(path, sections())
 
 
 def mesh_stats(mesh: RevolvedMesh) -> dict:

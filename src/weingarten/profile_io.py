@@ -3,17 +3,16 @@
 Profiles travel as CSV with columns theta,r,r1,r2,rho,h (radians, 17
 significant digits, 'inf' for flat samples) and '#'-prefixed header
 lines carrying metadata such as the relation text and tolerances.
-Writes are atomic (write to a temp file, then rename).
+Writes are atomic (write to a temp file, then rename) and streamed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -21,26 +20,19 @@ from .expressions import ParseError
 from .geometry import ProfileCurve3D, RoCProfile, SupportProfile
 from .relations import RelationError, parse_relation
 
-__all__ = ["ProfileBundle", "write_profile_csv", "read_profile_csv",
-           "write_json_atomic", "format_float"]
+__all__ = ["ProfileBundle", "write_profile_csv", "read_profile_csv", "write_json_atomic"]
 
 COLUMNS = ("theta", "r", "r1", "r2", "rho", "h")
+CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 
 
-def format_float(x: float) -> str:
-    if x != x:
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
-
-
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its parts one after another, to a temp file, then rename it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -103,18 +95,24 @@ def write_profile_csv(path: str, bundle: ProfileBundle) -> None:
         if isinstance(value, (dict, list, tuple)):
             value = json.dumps(value)
         lines.append(f"# {key}: {value}")
-    lines.append("theta,r,r1,r2,rho,h")
-    cols = [bundle.theta, bundle.r, bundle.r1, bundle.r2, bundle.rho, bundle.h]
-    for row in zip(*cols):
-        lines.append(",".join(format_float(x) for x in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    lines.append(",".join(COLUMNS))
+    rows = np.column_stack([getattr(bundle, c) for c in COLUMNS]).astype(float, copy=False)
+    row_format = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+
+    def parts():
+        yield "\n".join(lines) + "\n"
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            yield (row_format * len(block)) % tuple(block.ravel().tolist())
+
+    _atomic_write_text(path, parts())
 
 
 def read_profile_csv(path: str) -> ProfileBundle:
     metadata: dict = {}
-    rows: list[list[float]] = []
+    rows: list[str] = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -129,9 +127,11 @@ def read_profile_csv(path: str) -> ProfileBundle:
                 if tuple(header) != COLUMNS:
                     raise ValueError(f"unexpected profile columns {header}")
                 continue
-            rows.append([float(x) for x in line.split(",")])
+            if line.count(",") != len(COLUMNS) - 1:
+                raise ParseError(f"line {lineno} has {line.count(',') + 1} fields, expected 6", 0)
+            rows.append(line)
     if not rows:
         raise ValueError(f"profile file {path!r} contains no samples")
-    arr = np.asarray(rows, dtype=float)
+    arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     return ProfileBundle(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3],
                          arr[:, 4], arr[:, 5], metadata)

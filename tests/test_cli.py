@@ -220,6 +220,19 @@ class TestMeshAndReport:
         assert rep["residual_max"] <= 1e-6
         assert rep["umbilic"]["slope"] == pytest.approx(2.0, abs=5e-2)
 
+    @pytest.mark.parametrize("rows, line, fields", [
+        (["1,2,3,4,5", "2,3,4,5,6"], 3, 5),          # five columns under the six-column header
+        (["1,2,3,4,5,6", "2,3,4,5,6,7,8"], 4, 7),    # one ragged row
+    ])
+    def test_report_on_wrong_field_count_exit_1(self, tmp_path, capsys, rows, line, fields):
+        bad = os.path.join(tmp_path, "bad.csv")
+        with open(bad, "w") as fh:
+            fh.write("\n".join(["# weingarten profile", "theta,r,r1,r2,rho,h"] + rows) + "\n")
+        assert run(["report", "--input", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"line {line} has {fields} fields, expected 6" in err
+
 
 def test_parse_cmd_variants(capsys):
     assert run(["parse", "--relation", "r2 = 3*r1 - 5"]) == 0

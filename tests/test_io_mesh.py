@@ -17,10 +17,11 @@ from weingarten import (
     revolve_profile,
     write_profile_csv,
 )
+from weingarten.expressions import ParseError
 from weingarten.geometry import ProfileCurve3D
 from weingarten import profile_io
 from weingarten.meshing import RevolvedMesh, export_obj
-from weingarten.profile_io import ProfileBundle
+from weingarten.profile_io import COLUMNS, ProfileBundle
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +222,138 @@ class TestArrayMeshing:
         with open(path) as fh:
             assert fh.read() == "\n".join(lines) + "\n"
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+# ---------------------------------------------------------------------------
+# array-at-a-time text writers against per-value references
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0 / 3.0,
+                  -1.0 / 3.0, 1e16, -1e-5, math.inf, -math.inf, math.nan, -math.nan]
+any_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+
+
+@st.composite
+def value_arrays(draw, rows: st.SearchStrategy, cols: int) -> np.ndarray:
+    """A ``(rows, cols)`` array drawn from a small pool, so values repeat."""
+    pool = np.array(draw(st.lists(any_float, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return pool[rng.integers(0, len(pool), size=(draw(rows), cols))]
+
+
+def per_line_obj(mesh: RevolvedMesh, comment: str) -> str:
+    lines = ["# weingarten surface of revolution (axis +z)", f"# {comment}"]
+    lines += [f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in mesh.vertices]
+    lines += [f"vn {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}" for n in mesh.normals]
+    for f in mesh.faces:
+        a, b, c = (int(i) + 1 for i in f)
+        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+    return "\n".join(lines) + "\n"
+
+
+def per_row_csv(bundle: ProfileBundle) -> str:
+    lines = ["# weingarten profile", "# schema: 1"]
+    lines += [f"# {k}: {bundle.metadata[k]}" for k in sorted(bundle.metadata)]
+    lines.append("theta,r,r1,r2,rho,h")
+    cols = [bundle.theta, bundle.r, bundle.r1, bundle.r2, bundle.rho, bundle.h]
+    lines += [",".join(format(x, ".17g") for x in row) for row in zip(*cols)]
+    return "\n".join(lines) + "\n"
+
+
+block_rows = profile_io.CSV_BLOCK_ROWS
+csv_rows = st.one_of(st.integers(0, 12), st.sampled_from(
+    [block_rows - 1, block_rows, block_rows + 1, 2 * block_rows + 3]))
+
+
+def bundle_of(values: np.ndarray) -> ProfileBundle:
+    return ProfileBundle(*values.T.copy(), metadata={"relation": "r2 = 2*r1"})
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+@st.composite
+def meshes(draw) -> RevolvedMesh:
+    values = draw(value_arrays(st.integers(0, 10), 6))
+    n = len(values)
+    corner = st.integers(0, max(n - 1, 0))
+    faces = draw(st.lists(st.tuples(corner, corner, corner), max_size=8 if n else 0))
+    return RevolvedMesh(values[:, :3], values[:, 3:],
+                        np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("writers"))
+
+
+class TestStreamedWriters:
+    @settings(max_examples=150, deadline=None)
+    @given(meshes())
+    @example(RevolvedMesh(np.array([[0.0, -0.0, math.nan], [-math.nan, math.inf, -math.inf]]),
+                          np.array([[5e-324, -5e-324, 1.0], [-1.0, 1.0, 0.0]]),
+                          np.array([[0, 1, 1]])))
+    def test_obj_matches_per_line_writer(self, out_dir, mesh):
+        path = os.path.join(out_dir, "prop.obj")
+        export_obj(path, mesh, comment="prop")
+        with open(path) as fh:
+            assert fh.read() == per_line_obj(mesh, "prop")
+
+    @settings(max_examples=40, deadline=None)
+    @given(value_arrays(csv_rows, 6))
+    def test_csv_matches_per_row_writer(self, out_dir, values):
+        bundle = bundle_of(values)
+        path = os.path.join(out_dir, "prop.csv")
+        write_profile_csv(path, bundle)
+        with open(path) as fh:
+            assert fh.read() == per_row_csv(bundle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(value_arrays(csv_rows.filter(bool), 6))
+    def test_csv_round_trip_is_bit_exact(self, out_dir, values):
+        bundle = bundle_of(values)
+        path = os.path.join(out_dir, "prop.csv")
+        write_profile_csv(path, bundle)
+        back = read_profile_csv(path)
+        for name in COLUMNS:
+            assert_same_bits(getattr(bundle, name), getattr(back, name))
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_stream_leaves_target_alone(self, tmp_path, existing):
+        path = os.path.join(tmp_path, "out.txt")
+        if existing:
+            with open(path, "w") as fh:
+                fh.write("old bytes\n")
+
+        def parts():
+            yield "new "
+            yield "bytes\n" * 10_000
+            raise RuntimeError("formatting failed partway")
+
+        with pytest.raises(RuntimeError, match="partway"):
+            profile_io._atomic_write_text(path, parts())
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+        if existing:
+            with open(path) as fh:
+                assert fh.read() == "old bytes\n"
+        else:
+            assert not os.path.exists(path)
+
+    def test_streamed_parts_are_concatenated(self, tmp_path):
+        path = os.path.join(tmp_path, "out.txt")
+        profile_io._atomic_write_text(path, iter(["a", "", "bc\n"]))
+        with open(path) as fh:
+            assert fh.read() == "abc\n"
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("row, fields", [("1,2,3,4,5", 5), ("1,2,3,4,5,6,7", 7)])
+    def test_wrong_field_count_names_the_line(self, tmp_path, row, fields):
+        path = os.path.join(tmp_path, "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(f"# weingarten profile\ntheta,r,r1,r2,rho,h\n1,2,3,4,5,6\n{row}\n")
+        with pytest.raises(ParseError, match=f"line 4 has {fields} fields, expected 6"):
+            read_profile_csv(path)
