@@ -34,6 +34,7 @@ from .numerics import (
     cumulative_simpson_uniform,
     derivative_samples,
     derivative_uniform,
+    gauss_segments,
 )
 from .projective import ExtReal
 
@@ -50,6 +51,7 @@ __all__ = [
     "theta_of_t",
     "curvatures_from_support",
     "support_from_r1",
+    "support_by_quadrature",
     "embed_profile",
     "cm_residual",
     "integrated_cm_check",
@@ -362,6 +364,49 @@ def curvatures_from_support(s: SupportProfile, pole_limits: Optional[dict] = Non
                       evaluator=evaluator, meta={"source": "support"})
 
 
+def support_by_quadrature(grid, r1, r2, theta0: float, c0: float, radii: Callable,
+                          meta: Optional[dict] = None) -> SupportProfile:
+    """The support r with r + r'*cot(theta) = r1 and r'(theta0) = c0*sin(theta0).
+
+        r = r1 - cos(theta)*(c0 + I),  r' = sin(theta)*(c0 + I),  r'' = r2 - r,
+        I(theta) = integral_{theta0}^{theta} (r2 - r1) dt,
+
+    with I summed from one Gauss segment per grid interval, outward from the
+    node nearest theta0.  The array-first callbacks add one segment from the
+    node below each query; ``radii`` (array-first, theta -> (r1, r2)) gives
+    the radii at the Gauss nodes and the queries.
+    """
+    t = t_of_theta(grid)
+    t0 = float(t_of_theta(theta0))
+
+    def excess(tq):
+        r1q, r2q = radii(theta_of_t(tq.ravel()))
+        return (r2q - r1q).reshape(tq.shape)
+
+    def state(theta, r1v, r2v, integral):
+        c = c0 + integral
+        r = r1v - np.cos(theta) * c
+        return r, np.sin(theta) * c, r2v - r
+
+    i0 = int(np.argmin(np.abs(t - t0)))
+    segs = gauss_segments(excess, np.append(t[:-1], t0), np.append(t[1:], t[i0]))
+    S = np.concatenate(([0.0], np.cumsum(segs[:-1])))
+    integral = S - S[i0] + segs[-1]
+
+    def callback(i):
+        def at(theta):
+            th = np.clip(np.atleast_1d(np.asarray(theta, dtype=float)), grid[0], grid[-1])
+            tq = t_of_theta(th)
+            k = np.clip(np.searchsorted(t, tq) - 1, 0, len(t) - 1)
+            vals = state(th, *radii(th), integral[k] + gauss_segments(excess, t[k], tq))[i]
+            return vals if np.ndim(theta) else float(vals[0])
+        return at
+
+    r, rdot, rddot = state(grid, r1, r2, integral)
+    return SupportProfile(grid, r, rdot=rdot, rddot=rddot, r_fun=callback(0),
+                          rdot_fun=callback(1), rddot_fun=callback(2), meta=meta)
+
+
 def support_from_r1(p: RoCProfile, anchor_angle, anchor_value: float) -> SupportProfile:
     """Particular solution of r + r'*cot(theta) = r1 through the anchor.
 
@@ -370,8 +415,9 @@ def support_from_r1(p: RoCProfile, anchor_angle, anchor_value: float) -> Support
         I(theta) = integral_{theta0}^{theta} r1'(u)/cos(u) du,
         C0 = (r1(theta0) - anchor_value)/cos(theta0),
     with r1' eliminated through the derived Codazzi-Mainardi equation, so
-    the integrand (r2 - r1)/sin(u) stays finite across theta = pi/2.  The
-    profile is assumed CM-consistent to its construction tolerance.
+    the integrand (r2 - r1)/sin(u) = (r2 - r1) dt/du stays finite across
+    theta = pi/2.  The profile is assumed CM-consistent to its construction
+    tolerance.
     """
     theta0 = as_angle(anchor_angle)
     if abs(math.cos(theta0)) < 1e-12:
@@ -381,29 +427,10 @@ def support_from_r1(p: RoCProfile, anchor_angle, anchor_value: float) -> Support
     if np.any(~np.isfinite(p.r1)) or np.any(~np.isfinite(p.r2)):
         raise FlatPointError("support recovery requires finite radii on the grid")
 
-    def g(u: float) -> float:
-        return (p.r2_at(u) - p.r1_at(u)) / math.sin(u)
-
-    grid = p.grid
-    t = t_of_theta(grid)
-    if _is_uniform(t) and len(grid) >= 5:
-        # integral of g dtheta = (r2 - r1) dt on the uniform-t samples,
-        # re-anchored at theta0 by one short adaptive segment
-        S = cumulative_simpson_uniform(p.r2 - p.r1, float(t[1] - t[0]))
-        i0 = int(np.argmin(np.abs(grid - theta0)))
-        seg = adaptive_simpson(g, theta0, float(grid[i0]))
-        integral = S - S[i0] + seg
-    else:
-        integral = cumulative_quadrature(g, grid, x0=theta0)
     c0 = (float(p.r1_at(theta0)) - float(anchor_value)) / math.cos(theta0)
-    cosg = np.cos(grid)
-    sing = np.sin(grid)
-    r = p.r1 - cosg * (c0 + integral)
-    rdot = sing * (c0 + integral)
-    gvals = (p.r2 - p.r1) / sing
-    rddot = cosg * (c0 + integral) + sing * gvals
-    return SupportProfile(grid, r, rdot=rdot, rddot=rddot,
-                          meta={"anchor_angle": theta0, "anchor_value": float(anchor_value)})
+    return support_by_quadrature(p.grid, p.r1, p.r2, theta0, c0,
+                                 lambda th: (p.r1_at(th), p.r2_at(th)),
+                                 meta={"anchor_angle": theta0, "anchor_value": float(anchor_value)})
 
 
 def embed_profile(p: RoCProfile, h_anchor: float = 0.0) -> ProfileCurve3D:

@@ -512,7 +512,9 @@ def _canonicalize(rel: SemiQuadratic) -> WeingartenRelation:
     if de == 0.0 and be != 0.0:
         lam = -ga / be
         C = -al / be
-        if C == 0.0 and lam != 0.0:
+        # r2 = lam*r1 in the form whose coefficients stay at most 1 in size:
+        # k2 = k1/lam would overflow, or grow past a squarable size, as lam -> 0
+        if C == 0.0 and abs(lam) >= 1.0:
             return PureKLinear(1.0 / lam)
         return LinearHopf(lam, C)
     if de == 0.0 and al == 0.0 and ga != 0.0:

@@ -3,7 +3,8 @@
 The declared schemes for the whole package:
 
 * dense ODE output -- RK45's own interpolants, one array query at a time;
-* quadrature -- adaptive Simpson, abs tol 1e-10 / rel tol 1e-8;
+* quadrature -- adaptive Simpson, abs tol 1e-10 / rel tol 1e-8, and a
+  fixed 4-point Gauss-Legendre rule for short segments of smooth data;
 * derivatives of sampled data -- centered 4th-order stencils on uniform
   grids (one-sided 4th-order at the ends), quintic spline otherwise;
 * maxima of sampled data -- grid argmax plus 3-point parabolic refinement.
@@ -21,6 +22,7 @@ __all__ = [
     "adaptive_simpson",
     "cumulative_quadrature",
     "cumulative_simpson_uniform",
+    "gauss_segments",
     "derivative_uniform",
     "derivative_samples",
     "refine_max_parabolic",
@@ -117,6 +119,23 @@ def cumulative_quadrature(f: Callable[[float], float], grid: np.ndarray,
     for i in range(i_near - 1, -1, -1):
         out[i] = out[i + 1] - panel(float(grid[i]), float(grid[i + 1]))
     return out
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
+
+
+def gauss_segments(f: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
+    """Integrals of f over each [a[i], b[i]] by one 4-point Gauss-Legendre rule.
+
+    f gets the nodes of up to 4096 segments per call, as an array of shape
+    (segments, 4), which bounds the temporaries of long grids; each integral
+    is the same whatever else the call holds.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_X
+    sums = [(f(nodes[j:j + 4096]) * _GAUSS_W).sum(axis=-1) for j in range(0, len(nodes), 4096)]
+    return half * np.concatenate(sums)
 
 
 def cumulative_simpson_uniform(f: np.ndarray, h: float) -> np.ndarray:

@@ -111,6 +111,7 @@ def write_profile_csv(path: str, bundle: ProfileBundle) -> None:
 def read_profile_csv(path: str) -> ProfileBundle:
     metadata: dict = {}
     rows: list[str] = []
+    linenos: list[int] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -125,13 +126,24 @@ def read_profile_csv(path: str) -> ProfileBundle:
             if line.startswith("theta"):
                 header = [c.strip() for c in line.split(",")]
                 if tuple(header) != COLUMNS:
-                    raise ValueError(f"unexpected profile columns {header}")
+                    raise ParseError(f"line {lineno} has columns {line!r}, expected "
+                                     f"{','.join(COLUMNS)!r}", 0)
                 continue
             if line.count(",") != len(COLUMNS) - 1:
                 raise ParseError(f"line {lineno} has {line.count(',') + 1} fields, expected 6", 0)
             rows.append(line)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"profile file {path!r} contains no samples")
-    arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    try:
+        arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        # name the first line the same parser rejects on its own
+        for lineno, line in zip(linenos, rows):
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError:
+                raise ParseError(f"line {lineno} has a non-numeric field: {line!r}", 0) from None
+        raise
     return ProfileBundle(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3],
                          arr[:, 4], arr[:, 5], metadata)

@@ -96,15 +96,29 @@ class SemiQuadratic:
         return SemiQuadratic(self.alpha * factor, self.beta * factor,
                              self.gamma * factor, self.delta * factor)
 
+    def _unit(self) -> tuple[int, "SemiQuadratic"]:
+        """(e, self * 2^-e) with 2^e the power of two just above the largest
+        coefficient magnitude; scaling by a power of two is exact."""
+        e = math.frexp(max(map(abs, self.coefficients())))[1]
+        return e, SemiQuadratic(*(math.ldexp(c, -e) for c in self.coefficients()))
+
     @property
     def lambda2(self) -> float:
-        """Discriminant invariant Lambda2 = (beta + gamma)^2 - 4*alpha*delta."""
-        return (self.beta + self.gamma) ** 2 - 4.0 * self.alpha * self.delta
+        """Discriminant invariant Lambda2 = (beta + gamma)^2 - 4*alpha*delta.
+
+        Formed from the coefficients scaled by 2^-e to below 1 in size and
+        scaled back by 2^(2e), so no step overflows or underflows early.
+        """
+        e, u = self._unit()
+        with np.errstate(over="ignore"):
+            return float(np.ldexp((u.beta + u.gamma) ** 2 - 4.0 * u.alpha * u.delta, 2 * e))
 
     def normalized(self) -> "SemiQuadratic":
-        """Scaled to Lambda2 = 1 when Lambda2 > 0; returned unchanged otherwise."""
-        lam2 = self.lambda2
-        return self.scaled(1.0 / math.sqrt(lam2)) if lam2 > 0.0 else self
+        """Scaled to Lambda2 = 1 when Lambda2 > 0, otherwise by the power of two
+        that brings the largest coefficient magnitude into [1/2, 1)."""
+        _, u = self._unit()
+        lam2 = u.lambda2
+        return u.scaled(1.0 / math.sqrt(lam2)) if lam2 > 0.0 else u
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,20 @@ class TestMeshAndReport:
         assert err.startswith("error: ")
         assert f"line {line} has {fields} fields, expected 6" in err
 
+    @pytest.mark.parametrize("lines, message", [
+        (["theta,r,r1,r2,rho,height", "1,2,3,4,5,6"],
+         "line 2 has columns 'theta,r,r1,r2,rho,height', expected 'theta,r,r1,r2,rho,h'"),
+        (["theta,r,r1,r2,rho,h", "1,2,3,4,5,6", "", "2,3,abc,5,6,7"],
+         "line 5 has a non-numeric field: '2,3,abc,5,6,7'"),
+    ])
+    def test_report_on_bad_header_or_field_exit_1(self, tmp_path, capsys, lines, message):
+        bad = os.path.join(tmp_path, "bad.csv")
+        with open(bad, "w") as fh:
+            fh.write("\n".join(["# weingarten profile"] + lines) + "\n")
+        assert run(["report", "--input", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 def test_parse_cmd_variants(capsys):
     assert run(["parse", "--relation", "r2 = 3*r1 - 5"]) == 0

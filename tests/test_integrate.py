@@ -1,8 +1,11 @@
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.special import beta, betainc
 
@@ -16,10 +19,11 @@ from weingarten import (
     integrate_cm,
     parse_relation,
 )
+from weingarten import integrate
 from weingarten.integrate import InconsistentPoleStartError, IntegrationError, StepControl
 from weingarten.numerics import StackedDense
 from weingarten.variational import Multiplier
-from weingarten.relations import RelationError
+from weingarten.relations import RelationError, eval_F_float
 
 
 class TestClosedFormAgreement:
@@ -108,6 +112,13 @@ class TestStopReasons:
         assert 1.0 < p.r1.min() < 1.0 + 1e-6
         smooth = integrate_cm(parse_relation("r2 = 2*r1 + sin(r1)/10"), math.pi / 2.0, 1.0)
         assert smooth.meta["stop_reason"] == "completed"
+
+    def test_run_into_a_double_pole_of_F(self):
+        # |F| ~ 1/(r1 - 1)^2 reaches the blow-up cap near r1 = 1 + 1e-4 while F
+        # stays defined: a pole of F, not an exit from its domain
+        p = integrate_cm(parse_relation("r2 = 1/(r1 - 1)^2 + 2*r1"), math.pi / 2.0, 1.5)
+        assert p.meta["stop_reason"] == "left:f_pole,right:f_pole"
+        assert 1.0 < p.r1.min() < 1.0 + 2e-4
 
     def test_start_outside_the_domain_of_F_raises(self):
         # F(-1) = sqrt(-1) + 1 is undefined: there is no first step to take
@@ -270,3 +281,141 @@ def test_dense_queries_make_no_per_segment_calls(monkeypatch):
     assert np.all(np.isfinite(p.r1_at(theta))) and np.all(np.isfinite(p.support.value(theta)))
     mult = Multiplier(p.relation, 0.8)
     assert np.all(np.isfinite(mult.J(np.linspace(0.5, 0.9, 7))))
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _bench_module(name):
+    """A module of the benchmark, loaded by path under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunStats:
+    def test_one_run_from_the_equator(self):
+        p = integrate_cm(LinearHopf(3.0, -3.0), math.pi / 2.0, 2.0, (1e-6, math.pi - 1e-6))
+        assert p.meta["runs"] == 1
+        assert 0 < 6 * p.meta["steps"] <= p.meta["rhs_evals"]
+        assert p.meta["grid_capped"] is False
+
+    def test_two_runs_off_the_equator(self):
+        p = integrate_cm(LinearHopf(3.0, -3.0), 1.0, 2.0, (0.5, 2.5))
+        assert p.meta["runs"] == 2 and p.meta["steps"] > 0
+        up_only = integrate_cm(LinearHopf(3.0, -3.0), 1.0, 2.0, (1.0, 1.3))
+        assert up_only.meta["runs"] == 1
+
+    def test_capped_grid(self):
+        p = integrate_cm(LinearHopf(3.0, -3.0), math.pi / 2.0, 2.0, (0.1, math.pi - 0.1),
+                         step_control=StepControl(max_points=50))
+        assert p.meta["grid_capped"] is True and len(p.grid) == 50
+        full = integrate_cm(LinearHopf(3.0, -3.0), math.pi / 2.0, 2.0, (0.1, math.pi - 0.1),
+                            step_control=StepControl(grid_step=0.1))
+        assert full.meta["grid_capped"] is False
+
+    def test_steps_equal_the_benchmark_tracer_count(self):
+        layertrace = _bench_module("layertrace")
+        t = _bench_module("inputs").make_inputs("transform", 3, 1)[0]
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_flow(0)
+            p = integrate.integrate_cm(parse_relation(t.relation), math.pi / 2.0,
+                                       t.member.r1_start, (1e-6, math.pi - 1e-6),
+                                       step_control=StepControl(grid_step=0.01))
+            tracer.end_flow()
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["integrate.steps"] == p.meta["steps"] > 0
+        assert tracer.counts["integrate.rhs_evals"] == p.meta["rhs_evals"]
+
+
+# explicit relations r2 = lam*r1 + r0*(1 - lam) + eps*sin(r1 - r0): umbilic at r0, slope lam + eps
+explicit_members = st.tuples(st.floats(2.0, 4.0), st.floats(1.0, 2.0), st.floats(0.02, 0.1),
+                             st.floats(0.2, 0.5))
+
+
+def _growth(theta_start, mu):
+    """How much r1 - r0 ~ sin^(mu - 1) grows from the start to the equator: local
+    errors made near the start grow with it (1e5 for a pole start's 1e-5 seed)."""
+    return max(1.0, math.sin(theta_start) ** (1.0 - mu))
+
+
+def _explicit(lam, r0, eps):
+    return parse_relation(f"r2 = {lam!r}*r1 + {r0 * (1.0 - lam)!r} + {eps!r}*sin(r1 - {r0!r})")
+
+
+class TestSRunProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(explicit_members, st.lists(st.floats(1e-3, math.pi / 2.0), min_size=1, max_size=30))
+    def test_equator_symmetry(self, member, thetas):
+        # theta and pi - theta share s = ln sin(theta): where their sines are the
+        # same float, r1 is the same value of the same run
+        lam, r0, eps, a = member
+        p = integrate_cm(_explicit(lam, r0, eps), math.pi / 2.0, r0 * (1.0 + a),
+                         (1e-3, math.pi - 1e-3), step_control=StepControl(grid_step=0.01))
+        north = np.array(thetas)
+        south = math.pi - north
+        same = np.sin(north) == np.sin(south)
+        assume(same.any())
+        np.testing.assert_array_equal(p.r1_at(north[same]), p.r1_at(south[same]))
+        np.testing.assert_allclose(p.r1_at(north), p.r1_at(south), rtol=1e-14)
+
+    def test_a_stop_below_s0_caps_both_sides(self):
+        # started off the equator on the pi/2 profile, the down run meets the
+        # same sqrt(r1) domain edge, which caps the far side and the side past
+        # the mirror angle pi - theta0 where the pi/2 profile stops
+        rel = parse_relation("r2 = 3 - sqrt(r1)")
+        whole = integrate_cm(rel, math.pi / 2.0, 0.5)
+        p = integrate_cm(rel, 1.2, float(whole.r1_at(1.2)))
+        assert p.meta["stop_reason"] == "left:f_domain_exit,right:f_domain_exit"
+        assert p.meta["runs"] == 2
+        assert p.theta_min == pytest.approx(whole.theta_min, abs=1e-8)
+        assert p.theta_max == pytest.approx(whole.theta_max, abs=1e-8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(1.2, 4.0), st.floats(1.0, 2.0), st.floats(-0.5, 0.5), st.floats(0.1, 3.0))
+    def test_linear_hopf_closed_form(self, lam, r0, A, theta0):
+        # dr1/ds = (lam - 1)(r1 - r0): r1 = r0 + A e^((lam - 1) s) = r0 + A sin^(lam - 1)
+        p = integrate_cm(LinearHopf(lam, r0 * (1.0 - lam)), theta0,
+                         r0 + A * math.sin(theta0) ** (lam - 1.0), (1e-3, math.pi - 1e-3),
+                         step_control=StepControl(grid_step=0.01))
+        assert p.meta["stop_reason"] == "completed"
+        assert p.theta_min < theta0 < p.theta_max
+        want = r0 + A * np.exp((lam - 1.0) * np.log(np.sin(p.grid)))
+        assert np.max(np.abs(p.r1 - want) / np.abs(want)) <= 1e-10 * _growth(theta0, lam)
+
+    @settings(max_examples=12, deadline=None)
+    @given(explicit_members, st.one_of(st.floats(0.2, 2.9), st.sampled_from([0.0, math.pi])))
+    def test_agrees_with_the_t_system(self, member, theta0):
+        # the reference: today's 3-component state (r1, r, r') in t = ln tan(theta/2),
+        # dr1/dt = -tanh(t)(F - r1), dr/dt = r' sech(t), dr'/dt = (F - r) sech(t)
+        lam, r0, eps, a = member
+        rel = _explicit(lam, r0, eps)
+        r1_0 = r0 + a * math.sin(theta0) ** (lam + eps - 1.0)   # r0 at a pole
+        p = integrate_cm(rel, theta0, r1_0, (1e-6, math.pi - 1e-6),
+                         step_control=StepControl(grid_step=0.01))
+        assert p.meta["stop_reason"] == "completed"
+
+        def rhs(t, y):
+            F = float(eval_F_float(rel, y[0]))
+            sech = 1.0 / math.cosh(t)
+            return [-math.tanh(t) * (F - y[0]), y[2] * sech, (F - y[1]) * sech]
+
+        # a pole start is seeded at the launch angle that meta records
+        start, y0 = math.log(math.tan(p.meta["theta0"] / 2.0)), [p.meta["r1_0"]] * 2 + [0.0]
+        t = np.log(np.tan(p.grid / 2.0))
+        want = np.empty((3, len(t)))
+        for side, end in ((t < start, t[0]), (t >= start, t[-1])):
+            if side.any():
+                sol = solve_ivp(rhs, (start, end), y0, method="RK45", rtol=1e-12, atol=1e-14,
+                                dense_output=True)
+                want[:, side] = sol.sol(t[side])
+        # both runs' errors grow with r1 - r0 (a pole start's runs each sit
+        # about 3e-8 off the LinearHopf closed form of such a start)
+        tol = 1e-10 * _growth(p.meta["theta0"], lam + eps)
+        for got, ref in zip((p.r1, p.support.r, p.support.rdot_arr), want):
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))

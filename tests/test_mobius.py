@@ -395,6 +395,11 @@ class TestGroupLaw:
 
     @settings(max_examples=200, deadline=None)
     @given(rel=semiquadratic_variants, M1=group_elements, M2=group_elements)
+    # subnormal coefficients: normalisation must not overflow on the way
+    @example(rel=SemiQuadratic(2.2e-309, 0, 0, -1), M1=MoebiusElement(-1, 0, 0, -1),
+             M2=MoebiusElement(-1, 1, 0, -1))
+    @example(rel=LinearHopf(2.2e-309, 0), M1=MoebiusElement(-1, 0, 0, -1),
+             M2=MoebiusElement(-1, 1, 0, -1))
     def test_semiquadratic_coefficients(self, rel, M1, M2):
         def unit(r):
             v = np.array(to_semiquadratic(r).coefficients())
