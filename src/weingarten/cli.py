@@ -91,6 +91,14 @@ def _base_report(config: dict) -> dict:
     return {"schema": 1, "tool": f"weingarten {__version__}", "config": config}
 
 
+def _residual_max(profile, margin: float) -> float:
+    """max |cm_residual| over the samples at least ``margin`` from the poles;
+    NaN when fewer than 9 remain."""
+    interior = profile.restricted(max(profile.theta_min, margin),
+                                  min(profile.theta_max, math.pi - margin))
+    return float(np.nanmax(np.abs(cm_residual(interior)))) if len(interior) >= 9 else math.nan
+
+
 def _umbilic_report(profile) -> Optional[dict]:
     """The umbilic slope estimate of a profile; None where it is undefined."""
     try:
@@ -133,16 +141,12 @@ def cmd_integrate(config: dict) -> int:
     if "grid_step" in config:
         sc.grid_step = float(config["grid_step"])
     profile = integrate_cm(rel, theta0, r1_0, interval, step_control=sc)
-    interior = profile.restricted(max(profile.theta_min, 2e-6),
-                                  min(profile.theta_max, math.pi - 2e-6))
-    residual = cm_residual(interior) if len(interior) >= 9 else np.array([np.nan])
-    support = profile.support
+    residual_max = _residual_max(profile, 2e-6)
     try:
         emb = embed_profile(profile, h_anchor=float(config.get("h_anchor", 0.0)))
     except FlatPointError:
         emb = None
-    bundle = ProfileBundle.from_parts(profile, support, emb,
-                                      metadata={"relation": render_relation(rel)})
+    bundle = ProfileBundle.from_parts(profile, emb, metadata={"relation": render_relation(rel)})
     out_csv = config.get("output")
     if out_csv:
         write_profile_csv(out_csv, bundle)
@@ -155,7 +159,7 @@ def cmd_integrate(config: dict) -> int:
                        "theta_min": profile.theta_min,
                        "theta_max": profile.theta_max},
         "umbilic": _umbilic_report(profile),
-        "residual_max": float(np.nanmax(np.abs(residual))),
+        "residual_max": residual_max,
     })
     _emit(report, config.get("report"))
     return EXIT_OK
@@ -185,14 +189,11 @@ def cmd_transform(config: dict) -> int:
         _emit(report, config.get("report"))
         return EXIT_OK
     img = out.profile
-    interior = img.restricted(max(img.theta_min, 5e-3),
-                              min(img.theta_max, math.pi - 5e-3))
-    res = cm_residual(interior) if len(interior) >= 9 else np.array([np.nan])
     report.update({
         "calibration": out.A,
         "grid_stats": {"n": len(img.grid), "theta_min": img.theta_min,
                        "theta_max": img.theta_max},
-        "cm_residual_max": float(np.nanmax(np.abs(res))),
+        "cm_residual_max": _residual_max(img, 5e-3),
     })
     metadata = {"transform_of": img.meta["transform_of"],
                 "matrix": json.dumps([a, b, c, d]),
@@ -262,7 +263,9 @@ def cmd_variational(config: dict) -> int:
     seed = int(config.get("seed", 0))
     rng = np.random.default_rng(seed)
     basis = sine_perturbation_basis(6, th1, th2, rng=rng, extra_random=4)
-    d2 = [second_variation(spec, rel, traj, v, (th1, th2), mult) for v in basis]
+    stacked = (lambda th: np.array([v(th) for v, _ in basis]),
+               lambda th: np.array([vd(th) for _, vd in basis]))
+    d2 = second_variation(spec, rel, traj, stacked, (th1, th2), mult)
     theta_base = float(config.get("q_theta_base", max(1e-3, th1)))
     I_arr = Q_arr = np.empty(0)
     if mult is not None:
@@ -276,7 +279,6 @@ def cmd_variational(config: dict) -> int:
         Q_arr = Q_arr[~np.isnan(Q_arr)]
     report = _base_report(config)
     report.update({
-        "schema": 1,
         "lagrangian_kind": type(spec).__name__,
         "el_residual_max": float(np.nanmax(np.abs(res["defect"]))),
         "helmholtz_residual_max": float(np.max(np.abs(helm))),
@@ -311,15 +313,12 @@ def cmd_export_mesh(config: dict) -> int:
 def cmd_report(config: dict) -> int:
     bundle = read_profile_csv(config["input"])
     profile = bundle.roc_profile()
-    interior = profile.restricted(max(profile.theta_min, 5e-3),
-                                  min(profile.theta_max, math.pi - 5e-3))
-    res = cm_residual(interior) if len(interior) >= 9 else np.array([np.nan])
     report = _base_report(config)
     report.update({
         "metadata": bundle.metadata,
         "grid_stats": {"n": len(profile.grid), "theta_min": profile.theta_min,
                        "theta_max": profile.theta_max},
-        "residual_max": float(np.nanmax(np.abs(res))),
+        "residual_max": _residual_max(profile, 5e-3),
     })
     report["umbilic"] = _umbilic_report(profile)
     _emit(report, config.get("output"))

@@ -148,7 +148,7 @@ class RoCProfile:
     """
 
     __slots__ = ("grid", "r1", "r2", "pole_values", "evaluator", "relation", "support",
-                 "s_fn", "r1_excess_fn", "tolerance", "meta", "_spl_r1", "_spl_r2")
+                 "s_fn", "r1_excess_fn", "meta", "_spl_r1", "_spl_r2")
 
     def __init__(self, grid, r1, r2, *, pole_values: Optional[dict] = None,
                  evaluator: Optional[Callable] = None,
@@ -156,7 +156,6 @@ class RoCProfile:
                  support: Optional["SupportProfile"] = None,
                  s_fn: Optional[Callable] = None,
                  r1_excess_fn: Optional[Callable] = None,
-                 tolerance: float = 1e-8,
                  meta: Optional[dict] = None):
         self.grid = np.asarray(grid, dtype=float)
         self.r1 = np.asarray(r1, dtype=float)
@@ -173,16 +172,12 @@ class RoCProfile:
         self.support = support
         self.s_fn = s_fn
         self.r1_excess_fn = r1_excess_fn
-        self.tolerance = float(tolerance)
         self.meta = dict(meta) if meta else {}
         self._spl_r1 = None
         self._spl_r2 = None
 
     def __len__(self) -> int:
         return len(self.grid)
-
-    def point(self, i: int) -> RoCPoint:
-        return RoCPoint(ExtReal(float(self.r1[i])), ExtReal(float(self.r2[i])))
 
     def _spline(self, which: str):
         vals = self.r1 if which == "r1" else self.r2
@@ -217,30 +212,25 @@ class RoCProfile:
         return RoCProfile(self.grid[mask], self.r1[mask], self.r2[mask],
                           pole_values=self.pole_values, evaluator=self.evaluator,
                           relation=self.relation, support=self.support, s_fn=self.s_fn,
-                          r1_excess_fn=self.r1_excess_fn, tolerance=self.tolerance,
-                          meta=self.meta)
+                          r1_excess_fn=self.r1_excess_fn, meta=self.meta)
 
 
 class SupportProfile:
-    """Sampled support function with trustworthy first/second derivatives.
+    """A support function: its samples on a grid and array-first callbacks.
 
-    Sources, in order of preference: analytic callbacks (``r_fun``,
-    ``rdot_fun``, ``rddot_fun``), stored derivative arrays from an exact
-    construction (``rdot``, ``rddot``), or a spline of degree >= 4
-    through the samples.  Callbacks given to the constructor are
-    array-first: a 1-d theta array in gives an array out, a 0-d theta
-    gives a scalar; ``from_callables`` adapts scalar callbacks.  Every
-    field is declared in ``__slots__`` and set by the constructor.
+    ``r``, ``rdot_arr`` and ``rddot_arr`` hold r, r' and r'' on ``grid``
+    (the derivative samples may be None).  ``value``, ``rdot`` and
+    ``rddot`` evaluate the required callbacks ``r_fun``, ``rdot_fun`` and
+    ``rddot_fun`` anywhere on the grid's span: a theta array in gives an
+    array out, a 0-d theta a scalar; ``from_callables`` adapts scalar
+    callbacks.  Every field is declared in ``__slots__`` and set by the
+    constructor.
     """
 
-    __slots__ = ("grid", "r", "rdot_arr", "rddot_arr", "r_fun", "rdot_fun", "rddot_fun",
-                 "meta", "_spl")
+    __slots__ = ("grid", "r", "rdot_arr", "rddot_arr", "r_fun", "rdot_fun", "rddot_fun", "meta")
 
-    def __init__(self, grid, r, *, rdot=None, rddot=None,
-                 r_fun: Optional[Callable] = None,
-                 rdot_fun: Optional[Callable] = None,
-                 rddot_fun: Optional[Callable] = None,
-                 meta: Optional[dict] = None):
+    def __init__(self, grid, r, *, r_fun: Callable, rdot_fun: Callable, rddot_fun: Callable,
+                 rdot=None, rddot=None, meta: Optional[dict] = None):
         self.grid = np.asarray(grid, dtype=float)
         self.r = np.asarray(r, dtype=float)
         if len(self.grid) > 1 and not np.all(np.diff(self.grid) > 0):
@@ -251,7 +241,6 @@ class SupportProfile:
         self.rdot_fun = rdot_fun
         self.rddot_fun = rddot_fun
         self.meta = dict(meta) if meta else {}
-        self._spl = None
 
     @classmethod
     def from_callables(cls, grid, r_fun, rdot_fun, rddot_fun, meta=None) -> "SupportProfile":
@@ -265,38 +254,14 @@ class SupportProfile:
         return cls(grid, r_fun(grid), r_fun=r_fun, rdot_fun=rdot_fun, rddot_fun=rddot_fun,
                    meta=meta)
 
-    @property
-    def analytic(self) -> bool:
-        return self.rdot_fun is not None and self.rddot_fun is not None
-
-    def _spline(self):
-        if self._spl is None:
-            k = min(5, len(self.grid) - 1)
-            if k < 4 and len(self.grid) >= 5:
-                k = 4
-            self._spl = make_interp_spline(self.grid, self.r, k=k)
-        return self._spl
-
     def value(self, theta):
-        if self.r_fun is not None:
-            return self.r_fun(theta)
-        return self._spline()(theta)
+        return self.r_fun(theta)
 
     def rdot(self, theta):
-        if self.rdot_fun is not None:
-            return self.rdot_fun(theta)
-        if self.rdot_arr is not None and np.ndim(theta) and len(np.asarray(theta)) == len(self.grid) \
-                and np.allclose(theta, self.grid, rtol=0, atol=0):
-            return self.rdot_arr
-        return self._spline().derivative(1)(theta)
+        return self.rdot_fun(theta)
 
     def rddot(self, theta):
-        if self.rddot_fun is not None:
-            return self.rddot_fun(theta)
-        if self.rddot_arr is not None and np.ndim(theta) and len(np.asarray(theta)) == len(self.grid) \
-                and np.allclose(theta, self.grid, rtol=0, atol=0):
-            return self.rddot_arr
-        return self._spline().derivative(2)(theta)
+        return self.rddot_fun(theta)
 
 
 @dataclass
@@ -352,14 +317,11 @@ def curvatures_from_support(s: SupportProfile, pole_limits: Optional[dict] = Non
             r1[i], r2[i] = pole_limits[key]
             pole_values[th] = pole_limits[key]
 
-    evaluator = None
-    if s.analytic and s.r_fun is not None:
-        def evaluator(th, _s=s):
-            th = np.asarray(th, dtype=float)
-            rv = _s.r_fun(th)
-            r1v = rv + _s.rdot_fun(th) / np.tan(th)
-            r2v = rv + _s.rddot_fun(th)
-            return np.array([r1v, r2v])
+    def evaluator(th):
+        th = np.asarray(th, dtype=float)
+        rv = s.r_fun(th)
+        return np.array([rv + s.rdot_fun(th) / np.tan(th), rv + s.rddot_fun(th)])
+
     return RoCProfile(grid, r1, r2, pole_values=pole_values or None,
                       evaluator=evaluator, meta={"source": "support"})
 

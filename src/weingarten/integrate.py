@@ -304,7 +304,7 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
     support = support_by_quadrature(theta_grid, r1, r2, theta0, u_init / math.sin(theta0),
                                     evaluator, meta={"relation": meta["relation"]})
     return RoCProfile(theta_grid, r1, r2, evaluator=evaluator, relation=rel, support=support,
-                      tolerance=10.0 * sc.rtol + 1e-8, meta=meta)
+                      meta=meta)
 
 
 def hopf_closed_form(lam: float, C: float, A0: float, theta):

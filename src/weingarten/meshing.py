@@ -34,8 +34,7 @@ class RevolvedMesh:
     skipped_rows: int = 0
 
 
-def revolve_profile(curve: ProfileCurve3D, segments: int,
-                    theta: np.ndarray | None = None) -> RevolvedMesh:
+def revolve_profile(curve: ProfileCurve3D, segments: int) -> RevolvedMesh:
     """Triangulated surface of revolution from a cylindrical profile curve.
 
     Ring i holds vertices ``i*segments .. i*segments + segments - 1``; the
@@ -45,7 +44,7 @@ def revolve_profile(curve: ProfileCurve3D, segments: int,
     """
     if segments < 3:
         raise ValueError("need at least 3 angular segments")
-    grid = curve.grid if theta is None else np.asarray(theta, dtype=float)
+    grid = curve.grid
     rho = np.asarray(curve.rho, dtype=float)
     h = np.asarray(curve.h, dtype=float)
     finite = np.isfinite(rho) & np.isfinite(h) & np.isfinite(grid)

@@ -64,6 +64,8 @@ __all__ = [
     "ads_invariants",
 ]
 
+_EQUATOR_PATCH = 1e-3   # half-width of the equator patch of the image's h integrand
+
 
 class EmptyDomainError(ValueError):
     """The reparameterization admits no Gauss angles (|RHS| > 1 everywhere)."""
@@ -230,7 +232,6 @@ class Reparameterization:
     theta: np.ndarray             # admissible source angles
     theta_tilde: np.ndarray       # image angles on the standard branch
     mask: np.ndarray              # admissible-sample mask on the source grid
-    auto_calibrated: bool
 
 
 def _rho_of(profile: RoCProfile) -> np.ndarray:
@@ -255,12 +256,10 @@ def reparameterize(M: MoebiusElement, profile: RoCProfile,
         if wmax <= 0.0:
             raise EmptyDomainError("c*rho + d*sin(theta) vanishes identically")
         A = 1.0 / wmax
-        auto = True
     else:
         A = cal.A if isinstance(cal, Calibration) else float(cal)
         if A == 0.0:
             raise ValueError("calibration constant must be nonzero")
-        auto = False
     u = A * w
     # prefer the branch with sin(theta~) >= 0; flip A's sign if needed
     meaning = np.abs(u) > 1e-14
@@ -274,8 +273,7 @@ def reparameterize(M: MoebiusElement, profile: RoCProfile,
     th = theta[mask]
     base = np.arcsin(uu)
     theta_tilde = np.where(th <= math.pi / 2.0, base, math.pi - base)
-    return Reparameterization(M=M, A=A, theta=th, theta_tilde=theta_tilde,
-                              mask=mask, auto_calibrated=auto)
+    return Reparameterization(M=M, A=A, theta=th, theta_tilde=theta_tilde, mask=mask)
 
 
 @dataclass
@@ -293,15 +291,14 @@ class TransformedSurface:
 
 def _equator_patched_h(theta: np.ndarray, theta_tilde: np.ndarray,
                        r2_img: np.ndarray, rep: Reparameterization,
-                       r2_src: np.ndarray, h_anchor: float,
-                       patch_width: float = 1e-3) -> np.ndarray:
+                       r2_src: np.ndarray, h_anchor: float) -> np.ndarray:
     """Cumulative h~ = h_anchor - int r2~ sin(theta~) d(theta~) over the source grid.
 
     Written as an integral over the source angle with density
     d(theta~)/d(theta) = A (c r2 + d) cos(theta)/cos(theta~), which extends
     continuously through theta = pi/2 (where cos(theta~) can vanish) with
     limit -r2~(pi/2) sqrt(A (c r2(pi/2) + d)); samples inside a patch of
-    half-width ``patch_width`` around the equator are replaced by a local
+    half-width ``_EQUATOR_PATCH`` around the equator are replaced by a local
     quadratic through that limit before the composite quadrature.
     """
     M = rep.M
@@ -314,7 +311,7 @@ def _equator_patched_h(theta: np.ndarray, theta_tilde: np.ndarray,
         f = -r2_img * np.sin(theta_tilde) * dtt
 
     half = math.pi / 2.0
-    near = np.abs(theta - half) < patch_width
+    near = np.abs(theta - half) < _EQUATOR_PATCH
     if near.any():
         i_eq = int(np.argmin(np.abs(theta - half)))
         r2_eq = float(np.interp(half, theta, r2_src))
@@ -323,8 +320,8 @@ def _equator_patched_h(theta: np.ndarray, theta_tilde: np.ndarray,
         if arg > 0.0 and abs(cos_tt[i_eq]) < 1e-3:
             mid_limit = -r2i_eq * math.sqrt(arg)
             # quadratic through the two patch edges and the analytic limit
-            lo = np.nonzero(theta < half - patch_width)[0]
-            hi = np.nonzero(theta > half + patch_width)[0]
+            lo = np.nonzero(theta < half - _EQUATOR_PATCH)[0]
+            hi = np.nonzero(theta > half + _EQUATOR_PATCH)[0]
             if len(lo) and len(hi):
                 x0, x2 = theta[lo[-1]], theta[hi[0]]
                 y0, y2 = f[lo[-1]], f[hi[0]]
@@ -409,7 +406,6 @@ def induced_surface(M: MoebiusElement, profile: RoCProfile,
     img = RoCProfile(tt, r1_img, r2_img,
                      evaluator=inv_map,
                      relation=relation,
-                     tolerance=profile.tolerance,
                      meta={"transform_of": profile.meta.get("relation", "profile"),
                            "matrix": M.to_json(), "calibration": rep.A,
                            "value_noise": profile.meta.get("value_noise", 1e-10)})

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .expressions import ParseError
-from .geometry import ProfileCurve3D, RoCProfile, SupportProfile
+from .geometry import ProfileCurve3D, RoCProfile
 from .relations import RelationError, parse_relation
 
 __all__ = ["ProfileBundle", "write_profile_csv", "read_profile_csv", "write_json_atomic"]
@@ -57,22 +57,18 @@ class ProfileBundle:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_parts(cls, profile: RoCProfile, support: Optional[SupportProfile] = None,
-                   embedding: Optional[ProfileCurve3D] = None,
+    def from_parts(cls, profile: RoCProfile, embedding: Optional[ProfileCurve3D] = None,
                    metadata: Optional[dict] = None) -> "ProfileBundle":
-        n = len(profile.grid)
-        nanarr = np.full(n, np.nan)
-        r = support.value(profile.grid) if support is not None else nanarr
+        """The profile's samples; r is its support's grid samples, or NaN without one."""
+        nanarr = np.full(len(profile.grid), np.nan)
+        r = profile.support.r if profile.support is not None else nanarr
         if embedding is not None:
             rho, h = embedding.rho, embedding.h
         else:
             rho = profile.r1 * np.sin(profile.grid)
             h = nanarr
-        meta = dict(profile.meta)
-        if metadata:
-            meta.update(metadata)
-        return cls(profile.grid, np.asarray(r, dtype=float), profile.r1, profile.r2,
-                   rho, h, meta)
+        return cls(profile.grid, r, profile.r1, profile.r2, rho, h,
+                   {**profile.meta, **(metadata or {})})
 
     def roc_profile(self) -> RoCProfile:
         """The stored radii, carrying the relation of the ``relation`` header if it parses."""

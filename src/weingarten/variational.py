@@ -22,8 +22,10 @@ f(I, Q) * Phi0 for the two basic first integrals
 
 where the level curve x = r1(C, u) of I solves x' = cot(u) (F(x) - x),
 the Codazzi-Mainardi equation itself, through x(theta) = r1.  Multiplier
-methods and the analytic Lagrangian partials take floats or arrays, and
-the checks sample a trajectory once per array of angles.
+methods, Lagrangian values and partials take floats or arrays, and each
+check samples its trajectory and evaluates its partials in one array pass.
+Where a scalar state raises SingularMultiplierError, an array state gives
+NaN in that entry.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from .relations import (
 )
 
 _EPS = np.finfo(float).eps
+_GAUSS12 = np.polynomial.legendre.leggauss(12)   # GeneralSpec's nested rdot quadrature
+_GAUSS32 = np.polynomial.legendre.leggauss(32)   # each panel of second_variation
 
 __all__ = [
     "VariationalState",
@@ -223,7 +227,7 @@ class Multiplier:
         """Mask of the arguments every method accepts: inside the interval
         and, for a numeric J, within the reach of its run."""
         u = np.asarray(u, dtype=float)
-        ok = self._inside(u)
+        ok = np.array(self._inside(u))
         if self._forms is None and ok.any():
             ok[ok] = ~np.isnan(self._J_and_G2(u[ok])[0])
         return ok
@@ -322,21 +326,15 @@ def phi0(rel: WeingartenRelation, u: float, base_point: Optional[float] = None,
 class L0Spec:
     """L0 = tan^2(theta) * G2(r1): valid away from theta = pi/2."""
 
-    kind: str = "L0"
-
 
 @dataclass(frozen=True)
 class HopfL1Spec:
     """L1 = [rdot^2 + 2 C r - (1 - lam) r^2] / (2 sin^lam theta) for r2 = lam r1 + C."""
 
-    kind: str = "HopfL1"
-
 
 @dataclass(frozen=True)
 class CubicL1Spec:
     """L1 = 1/(2 cos^2(theta) rho) + gamma^2 r / sin^3(theta) for r2 = gamma^2 r1^3."""
-
-    kind: str = "CubicL1"
 
 
 @dataclass
@@ -347,9 +345,6 @@ class GeneralSpec:
     needs_Q: bool = False
     g1: Optional[Callable[[float, float], float]] = None
     g2: Optional[Callable[[float, float], float]] = None
-    name: str = "general"
-    kind: str = "General"
-    quad_nodes: int = 12
 
 
 LagrangianSpec = Union[L0Spec, HopfL1Spec, CubicL1Spec, GeneralSpec]
@@ -362,33 +357,47 @@ def _require(rel, cls, spec_name):
 
 def _phi_of_spec(spec: LagrangianSpec, rel: WeingartenRelation,
                  mult: Multiplier) -> Callable[[float, float, float], float]:
-    """The multiplier Phi(theta, r, rdot) attached to a Lagrangian kind."""
+    """The multiplier Phi(theta, r, rdot) attached to a Lagrangian kind, for
+    floats or equal-shape arrays (a GeneralSpec's f is called point by point)."""
     if isinstance(spec, L0Spec):
         def phi(theta, r, rdot):
-            return mult.phi0(rdot / math.tan(theta) + r)
-        return phi
-    if isinstance(spec, HopfL1Spec):
+            return mult.phi0(rdot / np.tan(theta) + r)
+    elif isinstance(spec, HopfL1Spec):
         _require(rel, LinearHopf, "HopfL1")
         lam = rel.lam
 
         def phi(theta, r, rdot):
-            return math.sin(theta) ** (-lam)
-        return phi
-    if isinstance(spec, CubicL1Spec):
+            return np.sin(theta) ** (-lam)
+    elif isinstance(spec, CubicL1Spec):
         _require(rel, CubicRoC, "CubicL1")
 
         def phi(theta, r, rdot):
-            rho = rdot * math.cos(theta) + r * math.sin(theta)
+            rho = rdot * np.cos(theta) + r * np.sin(theta)
             return 1.0 / rho ** 3
-        return phi
-    if isinstance(spec, GeneralSpec):
+    elif isinstance(spec, GeneralSpec):
+        f = np.vectorize(spec.f, otypes=[float])
+
         def phi(theta, r, rdot):
             st = VariationalState(theta, r, rdot)
             I = first_integral_I(rel, st, mult)
             Q = first_integral_Q(rel, st, mult) if spec.needs_Q else None
-            return spec.f(I, Q) * mult.phi0(st.r1)
-        return phi
-    raise TypeError(f"unknown Lagrangian spec {spec!r}")
+            return f(I, Q) * mult.phi0(st.r1)
+    else:
+        raise TypeError(f"unknown Lagrangian spec {spec!r}")
+    return phi
+
+
+def _l0_domain(state: VariationalState, mult: Multiplier):
+    """(r1, mask) of an L0 state; the mask marks where L0 is undefined (|cos(theta)|
+    < 1e-9 or ``mult`` undefined at r1), and r1 moves to the base point there so
+    that ``mult`` accepts it.  A scalar state raises SingularMultiplierError."""
+    u = state.r1
+    bad = (np.abs(np.cos(state.theta)) < 1e-9) | ~mult.defined(u)
+    if np.ndim(u) == 0:
+        if bad:
+            raise SingularMultiplierError(f"L0 is undefined at theta = {state.theta}, r1 = {u}")
+        return u, False
+    return np.where(bad, mult.base_point, u), bad
 
 
 def lagrangian_eval(spec: LagrangianSpec, rel: WeingartenRelation,
@@ -396,9 +405,9 @@ def lagrangian_eval(spec: LagrangianSpec, rel: WeingartenRelation,
     """Value of the Lagrangian at a first-order jet state, or at a state of arrays."""
     th, r, rd = state.theta, state.r, state.rdot
     if isinstance(spec, L0Spec):
-        if np.any(np.abs(np.cos(th)) < 1e-9):
-            raise SingularMultiplierError("L0 is singular at theta = pi/2")
-        val = np.tan(th) ** 2 * _mult_at(rel, state, mult).G2(state.r1)
+        mult = _mult_at(rel, state, mult)
+        u, bad = _l0_domain(state, mult)
+        val = np.where(bad, np.nan, np.tan(th) ** 2 * mult.G2(u))
     elif isinstance(spec, HopfL1Spec):
         _require(rel, LinearHopf, "HopfL1")
         lam, C = rel.lam, rel.C
@@ -407,26 +416,21 @@ def lagrangian_eval(spec: LagrangianSpec, rel: WeingartenRelation,
         _require(rel, CubicRoC, "CubicL1")
         rho = rd * np.cos(th) + r * np.sin(th)
         val = 1.0 / (2.0 * np.cos(th) ** 2 * rho) + rel.gamma ** 2 * r / np.sin(th) ** 3
-    elif isinstance(spec, GeneralSpec) and np.ndim(th) + np.ndim(r) + np.ndim(rd):
-        return np.array([lagrangian_eval(spec, rel, VariationalState(*p), mult)
-                         for p in zip(*np.broadcast_arrays(th, r, rd))])
     elif isinstance(spec, GeneralSpec):
         phi = _phi_of_spec(spec, rel, _mult_at(rel, state, mult))
-        # nested fixed-order Gauss-Legendre in rdot, anchored at rdot = 0
-        nodes, weights = np.polynomial.legendre.leggauss(spec.quad_nodes)
-
-        def inner(sigma: float) -> float:
-            half = 0.5 * sigma
-            pts = half * nodes + half
-            return float(half * np.sum(weights * [phi(th, r, u) for u in pts])) if sigma != 0.0 else 0.0
-
-        half = 0.5 * rd
-        pts = half * nodes + half
-        val = float(half * np.sum(weights * [inner(s) for s in pts])) if rd != 0.0 else 0.0
+        # nested fixed-order Gauss-Legendre in rdot, anchored at rdot = 0: the
+        # outer nodes s on a new last axis, the inner nodes of [0, s] on one more
+        nodes, weights = _GAUSS12
+        half = 0.5 * np.asarray(rd, dtype=float)[..., None]
+        sub = 0.5 * (half * nodes + half)
+        u = sub[..., None] * nodes + sub[..., None]
+        inner = sub * np.sum(weights * phi(np.expand_dims(th, (-2, -1)),
+                                           np.expand_dims(r, (-2, -1)), u), axis=-1)
+        val = half[..., 0] * np.sum(weights * inner, axis=-1)
         if spec.g1 is not None:
-            val += spec.g1(th, r) * rd
+            val = val + np.vectorize(spec.g1, otypes=[float])(th, r) * rd
         if spec.g2 is not None:
-            val += spec.g2(th, r)
+            val = val + np.vectorize(spec.g2, otypes=[float])(th, r)
     else:
         raise TypeError(f"unknown Lagrangian spec {spec!r}")
     return _like(val, val)
@@ -440,13 +444,18 @@ def lagrangian_partials(spec: LagrangianSpec, rel: WeingartenRelation,
     Returns {'L_r', 'L_rdot', 'L_rdot_rdot', 'L_r_rdot', 'L_theta_rdot',
     'L_rr'}; analytic rules for the named kinds, centered differences with
     one Richardson level otherwise (or when analytic=False).  A state of
-    arrays gives arrays (the analytic rules in one pass, numeric partials
-    state by state).
+    arrays gives arrays from one pass over all states; for L0 their
+    entries are NaN where L0 is undefined.
     """
     th, r, rd = state.theta, state.r, state.rdot
-    if analytic and isinstance(spec, L0Spec):
+    bad = False
+    if isinstance(spec, (L0Spec, GeneralSpec)):
         mult = _mult_at(rel, state, mult)
-        u = state.r1
+    if isinstance(spec, L0Spec):
+        u, bad = _l0_domain(state, mult)
+    if not analytic or isinstance(spec, GeneralSpec):
+        parts = _numeric_partials(spec, rel, state, mult)
+    elif isinstance(spec, L0Spec):
         tan = np.tan(th)
         P = mult.phi0(u)
         G1 = mult.G1(u)
@@ -458,7 +467,7 @@ def lagrangian_partials(spec: LagrangianSpec, rel: WeingartenRelation,
             "L_theta_rdot": G1 / np.cos(th) ** 2 - tan * P * rd / np.sin(th) ** 2,
             "L_rr": tan ** 2 * P,
         }
-    elif analytic and isinstance(spec, HopfL1Spec):
+    elif isinstance(spec, HopfL1Spec):
         _require(rel, LinearHopf, "HopfL1")
         lam, C = rel.lam, rel.C
         s = np.sin(th) ** lam
@@ -470,7 +479,7 @@ def lagrangian_partials(spec: LagrangianSpec, rel: WeingartenRelation,
             "L_theta_rdot": -lam * rd / (s * np.tan(th)),
             "L_rr": -(1.0 - lam) / s,
         }
-    elif analytic and isinstance(spec, CubicL1Spec):
+    elif isinstance(spec, CubicL1Spec):
         _require(rel, CubicRoC, "CubicL1")
         g2c = rel.gamma ** 2
         rho = rd * np.cos(th) + r * np.sin(th)
@@ -484,52 +493,53 @@ def lagrangian_partials(spec: LagrangianSpec, rel: WeingartenRelation,
                              + sec * (r * np.cos(th) - rd * np.sin(th)) / rho ** 3),
             "L_rr": sec ** 2 * np.sin(th) ** 2 / rho ** 3,
         }
-    elif np.ndim(th):
-        rows = [lagrangian_partials(spec, rel, VariationalState(*p), mult, analytic=False)
-                for p in zip(th, r, rd)]
-        return {key: np.array([row[key] for row in rows]) for key in rows[0]}
     else:
-        parts = _numeric_partials(spec, rel, state, mult)
-    return {key: _like(th, value) for key, value in parts.items()}
+        raise TypeError(f"unknown Lagrangian spec {spec!r}")
+    return {key: _like(th, np.where(bad, np.nan, value)) for key, value in parts.items()}
 
 
 def _numeric_partials(spec: LagrangianSpec, rel: WeingartenRelation,
                       state: VariationalState, mult: Optional[Multiplier]) -> dict:
-    """Richardson-extrapolated first derivatives of L at one state, and direct
-    cross/central stencils for the second ones (nested FD would amplify
-    inner-estimate noise by 1/h).  Each stencil is one array call of L."""
-    th, r, rd = state.theta, state.r, state.rdot
+    """Richardson-extrapolated first derivatives of L, and direct cross/central
+    stencils for the second ones (nested FD would amplify inner-estimate noise
+    by 1/h).  Each stencil is one call of L for every state at once, its
+    offsets along a new first axis; a scalar state runs as an array of one,
+    so it gets the bits of the same state inside an array."""
+    shape = np.shape(state.r1)
+    th, r, rd = (np.ravel(v) for v in np.broadcast_arrays(state.theta, state.r, state.rdot))
 
     def L(theta, rr, rrd):
         return lagrangian_eval(spec, rel, VariationalState(theta, rr, rrd), mult)
 
     def d1(fun, x):
-        h = 1e-5 * (1.0 + abs(x))
-        f = fun(x + h * np.array([1.0, -1.0, 0.5, -0.5]))
+        h = 1e-5 * (1.0 + np.abs(x))
+        f = fun(x + np.multiply.outer([1.0, -1.0, 0.5, -0.5], h))
         return (4.0 * (f[2] - f[3]) / h - (f[0] - f[1]) / (2.0 * h)) / 3.0
 
     def d2(fun, x):
-        h = 5e-4 * (1.0 + abs(x))
-        f = fun(x + h * np.array([1.0, 0.0, -1.0, 0.5, -0.5]))
+        h = 5e-4 * (1.0 + np.abs(x))
+        f = fun(x + np.multiply.outer([1.0, 0.0, -1.0, 0.5, -0.5], h))
         raw_h = (f[0] - 2.0 * f[1] + f[2]) / h ** 2
         raw_half = (f[3] - 2.0 * f[1] + f[4]) / (h / 2.0) ** 2
         return (4.0 * raw_half - raw_h) / 3.0
 
     def cross(fun, x, y):
-        hx = 5e-4 * (1.0 + abs(x))
-        hy = 5e-4 * (1.0 + abs(y))
+        hx = 5e-4 * (1.0 + np.abs(x))
+        hy = 5e-4 * (1.0 + np.abs(y))
         sx, sy = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
-        f = fun(x + hx * np.concatenate([sx, sx / 2.0]), y + hy * np.concatenate([sy, sy / 2.0]))
+        f = fun(x + np.multiply.outer(np.concatenate([sx, sx / 2.0]), hx),
+                y + np.multiply.outer(np.concatenate([sy, sy / 2.0]), hy))
         raw_h = (f[0] - f[1] - f[2] + f[3]) / (4.0 * hx * hy)
         raw_half = (f[4] - f[5] - f[6] + f[7]) / (4.0 * (hx / 2.0) * (hy / 2.0))
         return (4.0 * raw_half - raw_h) / 3.0
 
-    return {"L_r": d1(lambda x: L(th, x, rd), r),
-            "L_rdot": d1(lambda x: L(th, r, x), rd),
-            "L_rdot_rdot": d2(lambda x: L(th, r, x), rd),
-            "L_r_rdot": cross(lambda x, y: L(th, x, y), r, rd),
-            "L_theta_rdot": cross(lambda x, y: L(x, r, y), th, rd),
-            "L_rr": d2(lambda x: L(th, x, rd), r)}
+    parts = {"L_r": d1(lambda x: L(th, x, rd), r),
+             "L_rdot": d1(lambda x: L(th, r, x), rd),
+             "L_rdot_rdot": d2(lambda x: L(th, r, x), rd),
+             "L_r_rdot": cross(lambda x, y: L(th, x, y), r, rd),
+             "L_theta_rdot": cross(lambda x, y: L(x, r, y), th, rd),
+             "L_rr": d2(lambda x: L(th, x, rd), r)}
+    return {key: value.reshape(shape) for key, value in parts.items()}
 
 
 def euler_lagrange_residual(spec: LagrangianSpec, rel: WeingartenRelation,
@@ -540,33 +550,30 @@ def euler_lagrange_residual(spec: LagrangianSpec, rel: WeingartenRelation,
     """The expanded Euler-Lagrange expression along a support trajectory.
 
     Returns per-sample arrays: 'el' (the expanded form), 'multiplier_form'
-    (Phi * (r'' + r - F)), and their difference 'defect'.  Samples where
-    the Lagrangian is singular are skipped and flagged.
+    (Phi * (r'' + r - F)), and their difference 'defect', all from one
+    partials pass over the samples.  Samples where either form is NaN (for
+    L0: at theta = pi/2 or outside the multiplier) are flagged 'skipped'
+    and get NaN in every column; Phi and F are evaluated only where 'el'
+    is a number.  ``mult=None`` means, for L0 and general Lagrangians, the
+    multiplier based at the middle sample's r1.
     """
     if thetas is None:
         lo, hi = trajectory.grid[0], trajectory.grid[-1]
         thetas = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 25)
     thetas = np.asarray(thetas, dtype=float)
     rs, rds, rdds = trajectory.value(thetas), trajectory.rdot(thetas), trajectory.rddot(thetas)
-    el, phis = np.full((2, len(thetas)), np.nan)
-    skipped = np.zeros(len(thetas), dtype=bool)
-    needs_mult = isinstance(spec, (L0Spec, GeneralSpec))
-    for i, (th, r, rd, rdd) in enumerate(zip(thetas, rs, rds, rdds)):
-        try:
-            state = VariationalState(th, r, rd)
-            m = mult if (mult is not None or not needs_mult) \
-                else Multiplier(rel, state.r1)
-            parts = lagrangian_partials(spec, rel, state, m, analytic=analytic)
-            phis[i] = _phi_of_spec(spec, rel, m)(th, r, rd)
-        except (SingularMultiplierError, ValueError, ZeroDivisionError):
-            skipped[i] = True
-            continue
-        el[i] = (parts["L_rdot_rdot"] * rdd + parts["L_r_rdot"] * rd
-                 + parts["L_theta_rdot"] - parts["L_r"])
-    kept = ~skipped
-    r1 = rds[kept] / np.tan(thetas[kept]) + rs[kept]
+    state = VariationalState(thetas, rs, rds)
+    if isinstance(spec, (L0Spec, GeneralSpec)):
+        mult = _mult_at(rel, state, mult)
+    parts = lagrangian_partials(spec, rel, state, mult, analytic=analytic)
+    el = (parts["L_rdot_rdot"] * rdds + parts["L_r_rdot"] * rds
+          + parts["L_theta_rdot"] - parts["L_r"])
+    kept = ~np.isnan(el)
     mf = np.full(len(thetas), np.nan)
-    mf[kept] = phis[kept] * (rdds[kept] + rs[kept] - eval_F_float(rel, r1))
+    mf[kept] = _phi_of_spec(spec, rel, mult)(thetas[kept], rs[kept], rds[kept]) \
+        * (rdds[kept] + rs[kept] - eval_F_float(rel, state.r1[kept]))
+    skipped = ~kept | np.isnan(mf)
+    el[skipped] = np.nan
     return {"theta": thetas, "el": el,
             "multiplier_form": mf, "defect": el - mf, "skipped": skipped}
 
@@ -583,15 +590,14 @@ def helmholtz_residual(rel: WeingartenRelation,
 
         Phi_theta + rdot * Phi_r + (F - r) * Phi_rdot + Phi * F' * cot(theta).
     """
-    out = np.empty(len(states))
     r1 = np.array([st.r1 for st in states])
     slopes = eval_F_prime(rel, r1)
+    if phi is None:
+        return slopes / np.tan([st.theta for st in states])
+    out = np.empty(len(states))
     values = eval_F_float(rel, r1)
     for i, (st, Fp, F) in enumerate(zip(states, slopes, values)):
         th, r, rd = st.theta, st.r, st.rdot
-        if phi is None:
-            out[i] = Fp / math.tan(th)
-            continue
 
         def d(fun, x):
             h = 1e-6 * (1.0 + abs(x))
@@ -756,13 +762,14 @@ def sine_perturbation_basis(n: int, theta1: float, theta2: float,
 
 def second_variation(spec: LagrangianSpec, rel: WeingartenRelation,
                      r_star: SupportProfile, v, interval: tuple[float, float],
-                     mult: Optional[Multiplier] = None) -> float:
+                     mult: Optional[Multiplier] = None):
     """delta^2 S = int f1 v^2 + 2 f2 v v' + f3 v'^2 over the interval.
 
     f1/f2/f3 are the second partials of L on the trajectory (analytic for
     the named kinds, numeric for a GeneralSpec); for L0 the
     interval must avoid theta = pi/2 (where tan^2 blows up) and the
-    integrand also equals Phi0(r1) (tan(theta) v + v')^2.
+    integrand also equals Phi0(r1) (tan(theta) v + v')^2.  A field
+    (v, v') of (k, n) rows gives k values from one partials pass.
     """
     th1, th2 = float(interval[0]), float(interval[1])
     if isinstance(spec, L0Spec) and th1 < math.pi / 2.0 < th2:
@@ -770,7 +777,7 @@ def second_variation(spec: LagrangianSpec, rel: WeingartenRelation,
             "L0 stability intervals must lie inside (0, pi/2) or (pi/2, pi)")
     v_fun, vd_fun = v
     # smooth integrand on a closed interval: two 32-point Gauss panels
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _GAUSS32
     edges = np.array([th1, 0.5 * (th1 + th2), th2])
     half = 0.5 * np.diff(edges)[:, None]
     ths = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
@@ -779,7 +786,8 @@ def second_variation(spec: LagrangianSpec, rel: WeingartenRelation,
     vv, vd = v_fun(ths), vd_fun(ths)
     integrand = (parts["L_rr"] * vv ** 2 + 2.0 * parts["L_r_rdot"] * vv * vd
                  + parts["L_rdot_rdot"] * vd ** 2)
-    return float(np.sum((half * weights).ravel() * integrand))
+    values = np.sum((half * weights).ravel() * integrand, axis=-1)
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def general_lagrangian(rel: WeingartenRelation,
@@ -800,12 +808,9 @@ def general_lagrangian(rel: WeingartenRelation,
     """
     lo, hi = trajectory.grid[0], trajectory.grid[-1]
     thetas = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 12)
-    states = []
-    for p in zip(thetas, trajectory.value(thetas), trajectory.rdot(thetas)):
-        try:
-            states.append(VariationalState(*p))
-        except ValueError:
-            continue
+    inner = thetas[(thetas >= POLE_EPS) & (thetas <= math.pi - POLE_EPS)]
+    states = [VariationalState(*p) for p in
+              zip(inner, trajectory.value(inner), trajectory.rdot(inner))]
     if mult is None:
         mult = Multiplier(rel, states[len(states) // 2].r1)
     general = GeneralSpec(f=f, needs_Q=needs_Q)
@@ -828,14 +833,7 @@ def general_lagrangian(rel: WeingartenRelation,
         report["spec"] = general
         # required gauge defect: g1_theta - g2_r must equal
         # Phi*(r''+r-F) - EL(quadrature part), which is rdot-independent
-        defects = []
-        sampled = states[:: max(1, len(states) // 2)]
-        values = eval_F_float(rel, np.array([st.r1 for st in sampled]))
-        rdds = trajectory.rddot(np.array([st.theta for st in sampled]))
-        for st, F, rdd in zip(sampled, values, rdds):
-            parts = lagrangian_partials(general, rel, st, mult, analytic=False)
-            el_quad = (parts["L_rdot_rdot"] * rdd + parts["L_r_rdot"] * st.rdot
-                       + parts["L_theta_rdot"] - parts["L_r"])
-            defects.append(phi(st.theta, st.r, st.rdot) * (rdd + st.r - F) - el_quad)
-        report["g_defect_required"] = np.asarray(defects)
+        sampled = inner[:: max(1, len(inner) // 2)]
+        report["g_defect_required"] = -euler_lagrange_residual(
+            general, rel, trajectory, thetas=sampled, mult=mult)["defect"]
     return report

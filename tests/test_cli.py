@@ -5,7 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from weingarten import MoebiusElement, VariationalState, parse_relation, transform_relation
+from weingarten import (
+    MoebiusElement,
+    StepControl,
+    VariationalState,
+    integrate_cm,
+    parse_relation,
+    transform_relation,
+)
 from weingarten import cli
 from weingarten.cli import main
 from weingarten.profile_io import read_profile_csv
@@ -47,6 +54,12 @@ class TestIntegrateCmd:
         bundle = read_profile_csv(csv)
         assert np.allclose(bundle.r1, 0.5, atol=1e-10)
         assert np.allclose(bundle.r2, 0.5, atol=1e-10)
+
+    def test_r_column_is_the_support_samples(self, hopf_csv):
+        # the CSV's r column is the support's grid samples, not a second quadrature pass
+        profile = integrate_cm(parse_relation("r2 = 2*r1"), 1.5707963, 1.0, (0.001, 3.140),
+                               step_control=StepControl(grid_step=0.005))
+        np.testing.assert_array_equal(read_profile_csv(hopf_csv[0]).r, profile.support.r)
 
     def test_malformed_relation_exit_1(self, capsys):
         assert run(["integrate", "--relation", "r2 == r1", "--r1", "1.0"]) == 1

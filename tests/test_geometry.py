@@ -96,8 +96,7 @@ class TestSupportFromR1:
     def test_round_trip_reproduces_curvatures(self):
         p = two_sine_profile()
         s = support_from_r1(p, 1.0, float(p.r1_at(1.0)) * 0.9)  # nonzero K branch
-        back = curvatures_from_support(
-            SupportProfile(s.grid, s.r, rdot=s.rdot_arr, rddot=s.rddot_arr))
+        back = curvatures_from_support(s)
         assert np.max(np.abs(back.r1 - p.r1)) <= 1e-8
         assert np.max(np.abs(back.r2 - p.r2)) <= 1e-7
 

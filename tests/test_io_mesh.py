@@ -29,8 +29,7 @@ def sphere_bundle():
     prof = integrate_cm(PureKLinear(1.0), math.pi / 2.0, 1.0,
                         (1e-6, math.pi - 1e-6))
     emb = embed_profile(prof, h_anchor=float(np.cos(prof.grid[0])))
-    return ProfileBundle.from_parts(prof, prof.support, emb,
-                                    metadata={"relation": "k2 = 1*k1"})
+    return ProfileBundle.from_parts(prof, emb, metadata={"relation": "k2 = 1*k1"})
 
 
 class TestCsvRoundTrip:

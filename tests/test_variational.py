@@ -149,6 +149,23 @@ class TestEulerLagrange:
         res = euler_lagrange_residual(HopfL1Spec(), rel, traj, analytic=True)
         assert np.nanmax(np.abs(res["el"])) <= 1e-10
 
+    def test_singular_samples_skipped_and_other_rows_unchanged(self):
+        # r1 = sin(theta) on this trajectory: 0.4 gives r1 = 0.389, outside the
+        # multiplier's interval, and L0 is singular at pi/2
+        rel = LinearHopf(2.0, 0.0)
+        m = Multiplier(rel, 1.0, interval=(0.5, 1.5))
+        traj = two_sine_support(grid=np.linspace(0.3, 1.7, 40))
+        thetas = np.array([0.6, 0.8, 0.4, 1.0, math.pi / 2.0, 1.2])
+        flagged = np.array([False, False, True, False, True, False])
+        assert not m.defined(math.sin(0.4))
+        full = euler_lagrange_residual(L0Spec(), rel, traj, thetas=thetas, mult=m)
+        clean = euler_lagrange_residual(L0Spec(), rel, traj, thetas=thetas[~flagged], mult=m)
+        np.testing.assert_array_equal(full["skipped"], flagged)
+        assert not clean["skipped"].any()
+        for key in ("el", "multiplier_form", "defect"):
+            assert np.all(np.isnan(full[key][flagged])), key
+            np.testing.assert_array_equal(full[key][~flagged], clean[key], err_msg=key)
+
     def test_analytic_partials_match_numeric(self):
         rel = CubicRoC(1.0)
         m = Multiplier(rel, 0.5)
@@ -309,6 +326,20 @@ class TestSecondVariation:
         with pytest.raises(SingularMultiplierError):
             second_variation(L0Spec(), rel, sol.support, v, (0.3, 1.8))
 
+    @pytest.mark.parametrize("spec, rel", [(L0Spec(), LinearHopf(2.0, 0.0)),
+                                           (HopfL1Spec(), LinearHopf(0.5, 1.0))])
+    def test_stacked_fields_equal_per_field_calls(self, rng, spec, rel):
+        sol = integrate_cm(rel, 0.75, 1.0, (0.25, 1.3))
+        m = Multiplier(rel, 1.0) if isinstance(spec, L0Spec) else None
+        basis = sine_perturbation_basis(6, 0.3, 1.2, rng=rng, extra_random=4)
+        stacked = (lambda th: np.array([v(th) for v, _ in basis]),
+                   lambda th: np.array([vd(th) for _, vd in basis]))
+        got = second_variation(spec, rel, sol.support, stacked, (0.3, 1.2), m)
+        want = [second_variation(spec, rel, sol.support, field, (0.3, 1.2), m)
+                for field in basis]
+        assert got.shape == (len(basis),)
+        np.testing.assert_array_equal(got, want)
+
     def test_hopf_l1_matches_el_consistent_form(self):
         # delta^2 S1 = int (v'^2 - (1-lam) v^2)/sin^lam for the L1 that
         # actually satisfies the multiplier identity
@@ -421,8 +452,9 @@ class TestArrayFirstMultiplier:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["L0-closed", "L0-numeric", "HopfL1", "CubicL1"]),
            st.lists(st.tuples(st.floats(0.3, 1.35), st.floats(0.05, 0.95),
-                              st.floats(-0.4, 0.4)), min_size=1, max_size=10))
-    def test_array_partials_equal_per_state_partials(self, kind, draws):
+                              st.floats(-0.4, 0.4)), min_size=1, max_size=10),
+           st.booleans())
+    def test_array_partials_equal_per_state_partials(self, kind, draws, analytic):
         spec, rel, m, r1_range = {
             "L0-closed": (L0Spec(), LinearHopf(2.0, 0.0), Multiplier(LinearHopf(2.0, 0.0), 1.0),
                           (0.5, 2.5)),
@@ -434,9 +466,10 @@ class TestArrayFirstMultiplier:
         th, frac, rd = (np.array(col) for col in zip(*draws))
         r1 = r1_range[0] + frac * (r1_range[1] - r1_range[0])
         r = r1 - rd / np.tan(th)   # so rho = rd cos + r sin = r1 sin(theta) > 0
-        whole = lagrangian_partials(spec, rel, VariationalState(th, r, rd), m)
+        whole = lagrangian_partials(spec, rel, VariationalState(th, r, rd), m, analytic)
         for i in range(len(th)):
-            one = lagrangian_partials(spec, rel, VariationalState(th[i], r[i], rd[i]), m)
+            one = lagrangian_partials(spec, rel, VariationalState(th[i], r[i], rd[i]), m,
+                                      analytic)
             for key, value in one.items():
                 assert type(value) is float, key
                 assert whole[key][i] == pytest.approx(value, rel=1e-13, abs=1e-13), key
