@@ -8,7 +8,6 @@ verification, all at desk scale with declared tolerances.
 from .geometry import (
     GaussAngle,
     ProfileCurve3D,
-    RoCPoint,
     RoCProfile,
     SupportProfile,
     cm_residual,
@@ -18,7 +17,6 @@ from .geometry import (
     support_from_r1,
 )
 from .integrate import StepControl, hopf_closed_form, integrate_cm
-from .projective import INF, ExtReal
 from .relations import (
     CubicRoC,
     ExplicitF,

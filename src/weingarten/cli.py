@@ -75,6 +75,21 @@ class CliDomainError(RuntimeError):
     pass
 
 
+class CliUsageError(RuntimeError):
+    """An option or config value of the wrong shape (exit 1)."""
+
+
+def _finite(value, what: str, nonzero: bool = False) -> float:
+    """float(value), or a usage error saying `what` if that is not a finite (nonzero) number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (nonzero and x == 0.0):
+        raise CliUsageError(f"{what}, not {value!r}")
+    return x
+
+
 def _relation_kind(rel: WeingartenRelation) -> str:
     return type(rel).__name__
 
@@ -170,7 +185,9 @@ def cmd_transform(config: dict) -> int:
     matrix = config["matrix"]
     if isinstance(matrix, str):
         matrix = json.loads(matrix)
-    a, b, c, d = (float(x) for x in matrix)
+    if not isinstance(matrix, list) or len(matrix) != 4:
+        raise CliUsageError(f"matrix must be a list of 4 numbers, not {matrix!r}")
+    a, b, c, d = (_finite(x, "matrix entries must be finite numbers") for x in matrix)
     det = a * d - b * c
     if abs(det - 1.0) > 1e-9:
         raise RelationError(f"matrix determinant {det} is not 1")
@@ -178,7 +195,8 @@ def cmd_transform(config: dict) -> int:
     profile = bundle.roc_profile()
     cal = config.get("calibration", "auto")
     if cal not in (None, "auto"):
-        cal = Calibration(float(cal))
+        cal = Calibration(_finite(cal, "calibration must be 'auto' or a nonzero number",
+                                  nonzero=True))
     out = induced_surface(M, profile, cal=cal,
                           h_anchor=float(config.get("h_anchor", 0.0)))
     report = _base_report(config)
@@ -405,7 +423,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     config: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            config.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise CliUsageError(f"config file {args.config} must hold a JSON object")
+        config.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -430,10 +451,10 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _resolve_config(args)
     try:
-        return _COMMANDS[args.command](config)
-    except (ParseError, RelationError, KeyError, json.JSONDecodeError, OSError) as exc:
+        return _COMMANDS[args.command](_resolve_config(args))
+    except (ParseError, RelationError, CliUsageError, KeyError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EmptyDomainError, CliDomainError) as exc:

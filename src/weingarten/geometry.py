@@ -36,12 +36,10 @@ from .numerics import (
     derivative_uniform,
     gauss_segments,
 )
-from .projective import ExtReal
 
 __all__ = [
     "POLE_EPS",
     "GaussAngle",
-    "RoCPoint",
     "RoCProfile",
     "SupportProfile",
     "ProfileCurve3D",
@@ -109,14 +107,6 @@ def as_angle(theta) -> float:
     if not (0.0 <= th <= math.pi):
         raise ValueError(f"Gauss angle {th} outside [0, pi]")
     return th
-
-
-@dataclass(frozen=True)
-class RoCPoint:
-    """One point of the radii-of-curvature diagram."""
-
-    r1: ExtReal
-    r2: ExtReal
 
 
 def _is_uniform(x: np.ndarray, rtol: float = 1e-6) -> bool:

@@ -22,13 +22,12 @@ from scipy.interpolate import make_interp_spline
 from .geometry import (
     FlatPointError,
     ProfileCurve3D,
-    RoCPoint,
     RoCProfile,
     _is_uniform,
     t_of_theta,
 )
 from .numerics import cumulative_simpson_uniform, derivative_samples, refine_max_parabolic
-from .projective import frac_linear, frac_linear_array
+from .projective import frac_linear_array
 from .relations import (
     CubicRoC,
     ExplicitF,
@@ -170,39 +169,31 @@ Factor = Union[ParallelTranslation, Homothety, Reciprocal]
 
 
 def apply_roc(M: MoebiusElement, p):
-    """Componentwise fractional-linear image of an RoC point or array pair."""
-    if isinstance(p, RoCPoint):
-        return RoCPoint(frac_linear(M.a, M.b, M.c, M.d, p.r1),
-                        frac_linear(M.a, M.b, M.c, M.d, p.r2))
-    if isinstance(p, (tuple, list)) and len(p) == 2 and np.ndim(p[0]) == 0 \
-            and not isinstance(p[0], np.ndarray):
-        return (frac_linear(M.a, M.b, M.c, M.d, p[0]),
-                frac_linear(M.a, M.b, M.c, M.d, p[1]))
-    r1, r2 = p
-    return (frac_linear_array(M.a, M.b, M.c, M.d, r1),
-            frac_linear_array(M.a, M.b, M.c, M.d, r2))
+    """Componentwise fractional-linear image of a pair of radii (floats or arrays)."""
+    return tuple(frac_linear_array(M.a, M.b, M.c, M.d, r) for r in p)
 
 
 def apply_curvature(M: MoebiusElement, k):
     """Curvature-space action k -> (d k + c)/(b k + a), paired with apply_roc."""
-    if isinstance(k, (tuple, list)) and len(k) == 2 and np.ndim(k[0]) == 0 \
-            and not isinstance(k[0], np.ndarray):
-        return (frac_linear(M.d, M.c, M.b, M.a, k[0]),
-                frac_linear(M.d, M.c, M.b, M.a, k[1]))
-    k1, k2 = k
-    return (frac_linear_array(M.d, M.c, M.b, M.a, k1),
-            frac_linear_array(M.d, M.c, M.b, M.a, k2))
+    return tuple(frac_linear_array(M.d, M.c, M.b, M.a, x) for x in k)
 
 
 def decompose(M: MoebiusElement) -> list[Factor]:
     """Factor into N/A/Q generators (product in list order reproduces M).
 
     c = 0:  [N(a*b), A(a)];   c != 0:  [N(a/c), A(1/c), Q, N(d/c)].
+    For small c with |c| < |a| the latter's factors grow like 1/c and
+    cancel, so the larger pivot a is used: M = -Q (Q M) with
+    Q M = [[-c, -d], [a, b]], and the sign goes into the homothety.
     """
-    if abs(M.c) <= 1e-14 * max(1.0, abs(M.a), abs(M.b), abs(M.d)):
+    scale = max(1.0, abs(M.a), abs(M.b), abs(M.d))
+    if abs(M.c) <= 1e-14 * scale:
         return [ParallelTranslation(M.a * M.b), Homothety(M.a)]
-    return [ParallelTranslation(M.a / M.c), Homothety(1.0 / M.c),
-            Reciprocal(), ParallelTranslation(M.d / M.c)]
+    if abs(M.c) >= 1e-2 * scale or abs(M.c) >= abs(M.a):
+        return [ParallelTranslation(M.a / M.c), Homothety(1.0 / M.c),
+                Reciprocal(), ParallelTranslation(M.d / M.c)]
+    return [Reciprocal(), ParallelTranslation(-M.c / M.a), Homothety(-1.0 / M.a),
+            Reciprocal(), ParallelTranslation(M.b / M.a)]
 
 
 def compose_factors(factors: list[Factor]) -> MoebiusElement:
@@ -213,7 +204,7 @@ def compose_factors(factors: list[Factor]) -> MoebiusElement:
 
 
 def apply_factors(factors: list[Factor], p):
-    """Apply the factor list to an RoC point (rightmost factor first)."""
+    """Apply the factor list to a pair of radii (rightmost factor first)."""
     for f in reversed(factors):
         p = apply_roc(f.moebius(), p)
     return p

@@ -37,7 +37,7 @@ from .expressions import (
     Expr,
     Var,
 )
-from .projective import INF, ExtReal, frac_linear_array
+from .projective import frac_linear_array
 
 __all__ = [
     "LinearHopf",
@@ -318,10 +318,9 @@ def eval_F_float(rel: WeingartenRelation, u):
     return np.where(out == -np.inf, np.inf, np.broadcast_to(out, u.shape))
 
 
-def eval_F(rel: WeingartenRelation, r1: ExtReal | float) -> ExtReal:
-    """Scalar F on the extended line: eval_F_float with INF for np.inf."""
-    out = eval_F_float(rel, float(r1))
-    return INF if out == np.inf else ExtReal(out)
+def eval_F(rel: WeingartenRelation, r1: float) -> float:
+    """Scalar F: eval_F_float on one float, np.inf at infinity."""
+    return eval_F_float(rel, float(r1))
 
 
 def _F_prime_or_nan(rel: WeingartenRelation, u) -> np.ndarray:

@@ -185,9 +185,9 @@ def test_criterion_06_decomposition(rng):
                 continue
             direct = apply_roc(M, (x, x))[0]
             via = apply_factors(factors, (x, x))[0]
-            if direct.is_inf or via.is_inf or abs(direct.value) > 1e3:
+            if np.isinf(direct) or np.isinf(via) or abs(direct) > 1e3:
                 continue
-            worst_pt = max(worst_pt, abs(direct.value - via.value))
+            worst_pt = max(worst_pt, abs(direct - via))
     ok = worst_mat <= 1e-12 and worst_pt <= 1e-10
     report(6, ok, f"factor product defect: {worst_mat:.2e}; "
                   f"factorwise application defect: {worst_pt:.2e}")

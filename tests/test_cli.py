@@ -77,6 +77,17 @@ class TestIntegrateCmd:
         assert run(["integrate", "--config", cfg]) == 0
         assert os.path.exists(out)
 
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_bad_config_file_exit_1(self, tmp_path, capsys, content):
+        # a missing file, invalid JSON and a JSON array: one error line, no traceback
+        cfg = os.path.join(tmp_path, "cfg.json")
+        if content is not None:
+            with open(cfg, "w") as fh:
+                fh.write(content)
+        assert run(["integrate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTransformCmd:
     def test_translate_sphere(self, tmp_path):
@@ -127,6 +138,20 @@ class TestTransformCmd:
     def test_bad_determinant_exit_1(self, hopf_csv):
         csv, _ = hopf_csv
         assert run(["transform", "--input", csv, "--matrix", "[2,0,0,2]"]) == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--matrix", "5"],
+        ["--matrix", "[1,0,0]"],
+        ["--matrix", "[1,0,0,\"x\"]"],
+        ["--matrix", "[1,0,0,1]", "--calibration", "foo"],
+        ["--matrix", "[1,0,0,1]", "--calibration", "0"],
+        ["--matrix", "[1,0,0,1]", "--calibration", "nan"],
+    ])
+    def test_bad_matrix_or_calibration_exit_1(self, hopf_csv, capsys, extra):
+        csv, _ = hopf_csv
+        assert run(["transform", "--input", csv] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestClassifyReduce:

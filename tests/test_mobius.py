@@ -19,7 +19,6 @@ from weingarten import (
     ParallelTranslation,
     PureKLinear,
     Reciprocal,
-    RoCPoint,
     RoCProfile,
     SemiQuadratic,
     ads_invariants,
@@ -40,7 +39,6 @@ from weingarten import (
 )
 import weingarten
 from weingarten.mobius import EmptyDomainError, to_semiquadratic
-from weingarten.projective import ExtReal
 from conftest import random_moebius
 
 
@@ -59,9 +57,9 @@ def hopf_closed():
 class TestPointAction:
     def test_identity(self):
         M = MoebiusElement(1, 0, 0, 1)
-        pt = RoCPoint(ExtReal(0.7), ExtReal(1.9))
-        out = apply_roc(M, pt)
-        assert out.r1 == pt.r1 and out.r2 == pt.r2
+        out = apply_roc(M, (0.7, 1.9))
+        assert out == (0.7, 1.9)
+        assert all(isinstance(x, float) for x in out + apply_curvature(M, (0.7, 1.9)))
 
     def test_translation_subgroup(self):
         M = MoebiusElement(1, 0.4, 0, 1)
@@ -82,11 +80,11 @@ class TestPointAction:
             k = 1.0 / r
             r_img = apply_roc(M, (r, r))[0]
             k_img = apply_curvature(M, (k, k))[0]
-            if r_img.is_inf or k_img.is_inf:
+            if np.isinf(r_img) or np.isinf(k_img):
                 continue
-            if abs(r_img.value) < 1e-8:
+            if abs(r_img) < 1e-8:
                 continue
-            assert k_img.value == pytest.approx(1.0 / r_img.value, rel=1e-9)
+            assert k_img == pytest.approx(1.0 / r_img, rel=1e-9)
 
     def test_composition_law(self, rng):
         for _ in range(100):
@@ -97,11 +95,11 @@ class TestPointAction:
                 lhs = apply_roc(M2, apply_roc(M1, pt))
                 rhs = apply_roc(M2 @ M1, pt)
                 for a, b in zip(lhs, rhs):
-                    if a.is_inf or b.is_inf:
+                    if np.isinf(a) or np.isinf(b):
                         continue
-                    if abs(b.value) > 1e3:
+                    if abs(b) > 1e3:
                         continue
-                    assert a.value == pytest.approx(b.value, abs=1e-12 * max(1, abs(b.value)))
+                    assert a == pytest.approx(b, abs=1e-12 * max(1, abs(b)))
 
 
 class TestDecompose:
@@ -117,6 +115,35 @@ class TestDecompose:
         assert np.max(np.abs(compose_factors(fl).matrix()
                              - MoebiusElement(0, -1, 1, 0).matrix())) <= 1e-15
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_small_lower_left_entry(self, k, sign):
+        # the [N(a/c), A(1/c), Q, N(d/c)] factors cancel like 1/c; criterion 06's bounds hold
+        a, b, c = -0.8048235340399925, -2.9651584140569427, sign * 10.0 ** -k
+        M = MoebiusElement(a, b, c, (1.0 + b * c) / a)
+        fl = decompose(M)
+        assert np.max(np.abs(compose_factors(fl).matrix() - M.matrix())) <= 1e-12
+        for x in np.linspace(-3.0, 3.0, 13):
+            direct, via = apply_roc(M, (x, x))[0], apply_factors(fl, (x, x))[0]
+            assert abs(direct - via) <= 1e-10
+
+    @pytest.mark.parametrize("M", [
+        MoebiusElement(0.0, -100.0, 0.01, 0.0),            # a = 0: A(10) Q
+        MoebiusElement(1e-10, (1e-10 - 1.0) / 1e-2, 1e-2, 1.0),
+        MoebiusElement(-1e-10, (-1e-10 - 1.0) / -1e-3, -1e-3, 1.0),
+        MoebiusElement(1e-3, -2.0, 1e-4, (1.0 - 2e-4) / 1e-3),
+    ])
+    def test_small_lower_left_entry_with_smaller_a(self, M):
+        # the pivot is the larger of |a| and |c|; criterion 06's bounds hold
+        fl = decompose(M)
+        assert np.max(np.abs(compose_factors(fl).matrix() - M.matrix())) <= 1e-12
+        for x in np.linspace(-3.0, 3.0, 13):
+            if abs(M.c * x + M.d) < 1e-2:
+                continue
+            direct, via = apply_roc(M, (x, x))[0], apply_factors(fl, (x, x))[0]
+            if abs(direct) <= 1e3:
+                assert abs(direct - via) <= 1e-10
+
     def test_random_matrices_product_and_application(self, rng):
         for i in range(100):
             if i % 4 == 0:
@@ -131,11 +158,11 @@ class TestDecompose:
             direct = apply_roc(M, pt)
             viafactors = apply_factors(fl, pt)
             for a_, b_ in zip(direct, viafactors):
-                if a_.is_inf or b_.is_inf:
+                if np.isinf(a_) or np.isinf(b_):
                     continue
-                if abs(a_.value) > 1e4:
+                if abs(a_) > 1e4:
                     continue
-                assert b_.value == pytest.approx(a_.value, abs=1e-10 * max(1.0, abs(a_.value)))
+                assert b_ == pytest.approx(a_, abs=1e-10 * max(1.0, abs(a_)))
 
 
 class TestReparameterize:
@@ -353,12 +380,12 @@ class TestTransformRelation:
             img = to_semiquadratic(transform_relation(M, rel))
             r1 = float(rng.uniform(0.4, 2.5))
             r2 = eval_F(rel, r1)
-            if r2.is_inf:
+            if np.isinf(r2):
                 continue
-            i1, i2 = apply_roc(M, (r1, r2.value))
-            if i1.is_inf or i2.is_inf:
+            i1, i2 = apply_roc(M, (r1, r2))
+            if np.isinf(i1) or np.isinf(i2):
                 continue
-            k1, k2 = 1.0 / i1.value, 1.0 / i2.value
+            k1, k2 = 1.0 / i1, 1.0 / i2
             a, b, g, d = img.coefficients()
             resid = a * k1 * k2 + b * k1 + g * k2 + d
             scale = max(abs(k1some) for k1some in (k1, k2, 1.0)) ** 2
@@ -425,9 +452,9 @@ class TestGroupLaw:
                 got = eval_F(nested, x)
             except (ArithmeticError, ValueError):
                 continue
-            if want.is_inf or got.is_inf or abs(want.value) > 1e4:
+            if np.isinf(want) or np.isinf(got) or abs(want) > 1e4:
                 continue
-            assert got.value == pytest.approx(want.value, rel=1e-8, abs=1e-8)
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
             compared += 1
         assert compared > 0
 
