@@ -7,7 +7,7 @@ ds/dtheta = cot(theta), this is autonomous and one-dimensional:
     dr1/ds = F(r1) - r1,
 
 the same on both sides of the equator, as theta and pi - theta share s.  A
-start at pi/2 (s = 0) is one RK45 run down toward the poles; any other
+start at pi/2 (s = 0) is one DOP853 run down toward the poles; any other
 start needs at most a run up toward the equator and a run down, which also
 serves the far side beyond pi - theta0.  At an umbilic r0 = F(r0) the
 fall-off r1 - r0 ~ sin^(F'(r0) - 1) is the linear rate e^((F'(r0) - 1) s),
@@ -54,7 +54,7 @@ class InconsistentPoleStartError(ValueError):
 
 @dataclass
 class StepControl:
-    """Adaptive RK45 settings and output-grid resolution.
+    """Adaptive DOP853 settings and output-grid resolution.
 
     rtol/atol are tighter than strictly required so that derived
     finite-difference residuals keep a clean error budget.
@@ -97,16 +97,18 @@ def _runs_into_pole(rel: WeingartenRelation, r1_prev: float, r1_last: float) -> 
 
 
 class _Rhs:
-    """dr1/ds = F(r1) - r1, keeping F's latest value for the stop events.
+    """dr1/ds = F(r1) - r1, keeping F's latest values for the stop events.
 
-    RK45 evaluates the right-hand side at the end of every step before the
-    events look at that point, so the events reuse F instead of calling it
-    again.  Outside F's domain F is nan, which makes RK45 reject the step.
+    DOP853 evaluates the right-hand side at the end of every step, then at
+    the three extra stages of its dense output, before the events look at
+    the step end; F's last four values are kept, so the events reuse F
+    instead of calling it again.  Outside F's domain F is nan, which makes
+    DOP853 reject the step.
     """
 
     def __init__(self, rel: WeingartenRelation, sc: StepControl):
         self.rel, self.sc = rel, sc
-        self.r1 = self.F = math.nan
+        self.recent: dict[float, float] = {}
         self.domain_hits = 0
 
         def ev_blow(s, y):
@@ -120,23 +122,26 @@ class _Rhs:
         self.events = [ev_blow, ev_flat]
 
     def F_at(self, r1: float) -> float:
-        if r1 != self.r1:
+        F = self.recent.get(r1)
+        if F is None:
             try:
-                self.F = float(eval_F_float(self.rel, r1))
+                F = float(eval_F_float(self.rel, r1))
             except EvalDomainError:
                 self.domain_hits += 1
-                self.F = math.nan
-            self.r1 = r1
-        return self.F
+                F = math.nan
+            if len(self.recent) == 4:
+                del self.recent[next(iter(self.recent))]
+            self.recent[r1] = F
+        return F
 
     def __call__(self, s, y):
         return [self.F_at(y[0]) - y[0]]
 
     def run(self, s0: float, s_end: float, r1_0: float):
-        """One RK45 run in s: the solution and its stop reason (None if it reached s_end)."""
+        """One DOP853 run in s: the solution and its stop reason (None if it reached s_end)."""
         self.domain_hits = 0
         try:
-            sol = solve_ivp(self, (s0, s_end), [r1_0], method="RK45", rtol=self.sc.rtol,
+            sol = solve_ivp(self, (s0, s_end), [r1_0], method="DOP853", rtol=self.sc.rtol,
                             atol=self.sc.atol, dense_output=True, events=self.events)
         except (ArithmeticError, ValueError) as exc:
             raise IntegrationError(f"right-hand side failed during integration: {exc}") from exc
@@ -163,7 +168,7 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
     The result covers target_interval intersected with the reachable
     domain; integration stops cleanly at blow-up, an F-domain exit or a
     pole of F and records per-side stop reasons in ``profile.meta``, along
-    with what the integration did: ``runs`` (RK45 runs), ``steps`` (their
+    with what the integration did: ``runs`` (DOP853 runs), ``steps`` (their
     accepted steps), ``rhs_evals`` and ``grid_capped`` (whether
     ``StepControl.max_points`` cut the output grid).  ``support_init``
     optionally fixes (r(theta0), dr/dtheta(theta0)); the default
@@ -216,7 +221,7 @@ def integrate_cm(rel: WeingartenRelation, theta0, r1_0: float,
         if abs(implied - r1_0) > 1e-8 * max(1.0, abs(r1_0)):
             raise ValueError("support_init inconsistent with r1_0 at theta0")
 
-    # a nan or infinite right-hand side at the start point would stall RK45's first step
+    # a nan or infinite right-hand side at the start point would stall the first step
     try:
         F0 = float(eval_F_float(rel, r1_0))
     except EvalDomainError as exc:

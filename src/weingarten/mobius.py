@@ -75,7 +75,8 @@ class MoebiusElement:
     """Element of the determinant-one group, normalized on construction.
 
     A positive determinant is rescaled to exactly 1 by dividing through
-    by its square root; a non-positive determinant is rejected.
+    by its square root; a non-finite entry or a non-positive determinant is
+    rejected.
     """
 
     a: float
@@ -84,6 +85,8 @@ class MoebiusElement:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise ValueError(f"matrix entries {(self.a, self.b, self.c, self.d)} are not all finite")
         det = self.a * self.d - self.b * self.c
         if det <= 0.0:
             raise ValueError(f"determinant {det} is not positive")
@@ -119,13 +122,13 @@ class MoebiusElement:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Nonzero speed constant of the induced surface transformation."""
+    """Finite nonzero speed constant of the induced surface transformation."""
 
     A: float
 
     def __post_init__(self):
-        if self.A == 0.0:
-            raise ValueError("calibration constant must be nonzero")
+        if not math.isfinite(self.A) or self.A == 0.0:
+            raise ValueError(f"calibration constant must be finite and nonzero; got {self.A}")
 
 
 @dataclass(frozen=True)
@@ -248,9 +251,7 @@ def reparameterize(M: MoebiusElement, profile: RoCProfile,
             raise EmptyDomainError("c*rho + d*sin(theta) vanishes identically")
         A = 1.0 / wmax
     else:
-        A = cal.A if isinstance(cal, Calibration) else float(cal)
-        if A == 0.0:
-            raise ValueError("calibration constant must be nonzero")
+        A = (cal if isinstance(cal, Calibration) else Calibration(float(cal))).A
     u = A * w
     # prefer the branch with sin(theta~) >= 0; flip A's sign if needed
     meaning = np.abs(u) > 1e-14

@@ -2,7 +2,8 @@
 
 The declared schemes for the whole package:
 
-* dense ODE output -- RK45's own interpolants, one array query at a time;
+* dense ODE output -- the RK45 or DOP853 interpolants of the run, as power
+  coefficients, one array query at a time;
 * quadrature -- adaptive Simpson, abs tol 1e-10 / rel tol 1e-8, and a
   fixed 4-point Gauss-Legendre rule for short segments of smooth data;
 * derivatives of sampled data -- centered 4th-order stencils on uniform
@@ -12,6 +13,7 @@ The declared schemes for the whole package:
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -32,9 +34,27 @@ QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 
 
+def _dop853_power_matrix() -> np.ndarray:
+    """M whose row k, dotted with scipy's 7 DOP853 interpolant rows F_j, is the
+    x^(k+1) coefficient of the nested form x (F0 + (1 - x)(F1 + x (F2 + ...))),
+    in which F_j carries x^(j//2 + 1) (1 - x)^((j + 1)//2)."""
+    M = np.zeros((7, 7))
+    for j in range(7):
+        a, b = j // 2 + 1, (j + 1) // 2
+        for i in range(b + 1):
+            M[a + i - 1, j] = math.comb(b, i) * (-1) ** i
+    return M
+
+
+_DOP853_POWERS = _dop853_power_matrix()
+
+
 class StackedDense:
-    """An RK45 ``OdeSolution``'s segments stacked once, so that a query of shape S
-    costs a fixed number of numpy steps and gives values of shape (states,) + S.
+    """A scipy RK ``OdeSolution``'s segments (RK45's or DOP853's) stacked once as
+    power coefficients C, y = y_old + sum_k C[:, k] x^(k+1) with x = (t - t_old) / h,
+    so that a query of shape S costs a fixed number of numpy steps and gives
+    values of shape (states,) + S.  C is h Q for RK45 and the expanded nested
+    form for DOP853; all segments come from one method.
 
     Segments are picked by OdeSolution's rule: a knot belongs to the lower-index one.
     """
@@ -44,17 +64,18 @@ class StackedDense:
         self.ts_sorted, self.side = sol.ts_sorted, sol.side
         self.t_old = np.array([s.t_old for s in segs])
         self.h = np.array([s.h for s in segs])
-        self.Q = np.moveaxis(np.array([s.Q for s in segs]), 0, -1)  # (states, order, segments)
-        self.y_old = np.array([s.y_old for s in segs]).T              # (states, segments)
+        coeffs = [s.h * s.Q if hasattr(s, "Q") else (_DOP853_POWERS @ s.F).T for s in segs]
+        self.C = np.moveaxis(np.array(coeffs), 0, -1)            # (states, powers, segments)
+        self.y_old = np.array([s.y_old for s in segs]).T          # (states, segments)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.ts_sorted, t, side=self.side) - 1, 0, len(self.h) - 1)
         x = (t - self.t_old[seg]) / self.h[seg]
-        powers = np.cumprod(np.broadcast_to(x, (self.Q.shape[1],) + x.shape), axis=0)
-        # summed over the order axis, not by einsum, whose rounding of one
+        powers = np.cumprod(np.broadcast_to(x, (self.C.shape[1],) + x.shape), axis=0)
+        # summed over the power axis, not by einsum, whose rounding of one
         # point depends on how many other points share the call
-        return self.h[seg] * (self.Q[:, :, seg] * powers).sum(axis=1) + self.y_old[:, seg]
+        return (self.C[:, :, seg] * powers).sum(axis=1) + self.y_old[:, seg]
 
 
 def _simpson(f, a, fa, b, fb, m, fm):

@@ -145,6 +145,13 @@ class _JRun:
     The steps, the stop at |J| = 690 (its root found as ``solve_ivp`` finds
     a terminal event's) and so every dense value are those of one
     ``solve_ivp`` run over the whole side.
+
+    The run stays RK45, unlike the Codazzi-Mainardi run: toward a fixed
+    point u* of F, J' = 1/(u - F(u)) grows like 1/(u - u*), and there DOP853
+    at rtol 1e-12 shrinks its steps until they underflow.  Below the base
+    point 1 of ``SemiQuadratic(0, 1, 1, -4)`` it stopped 4.8e-11 short of
+    u* = 0.5 after 42,251 steps (22 s), where RK45 came within 1.1e-11 in
+    5,959 steps (1.5 s).
     """
 
     def __init__(self, rhs, base: float, end: float):

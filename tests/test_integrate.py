@@ -158,6 +158,13 @@ class TestPoleStart:
         with pytest.raises(InconsistentPoleStartError):
             integrate_cm(LinearHopf(0.5, 1.0), 0.0, 2.0, (1e-6, 1.0))
 
+    def test_pole_start_reaches_the_equator_on_the_closed_form(self):
+        # the seed launched at amplitude 1e-5 grows 1e5 times toward the equator;
+        # r1 = 1.3 + sin^1.0625 there is 2.3
+        p = integrate_cm(LinearHopf(2.0625, 1.3 * (1.0 - 2.0625)), 0.0, 1.3,
+                         (1e-6, math.pi - 1e-6))
+        assert abs(float(p.r1_at(math.pi / 2.0)) - 2.3) <= 5e-8
+
 
 class TestHopfClosedForm:
     def test_lam2_gives_sine(self):
@@ -242,17 +249,18 @@ def _dense_rhs(t, y):
     return [math.cos(3.0 * t) * y[1], math.sin(t) - y[0], 0.1 * y[0] * y[1]]
 
 
-# one ascending and one descending (integrate_cm's left side) RK45 solution
-_DENSE_RUNS = {end: solve_ivp(_dense_rhs, (0.0, end), [1.0, 0.5, 0.2], method="RK45",
-                              rtol=1e-10, atol=1e-12, dense_output=True)
-               for end in (4.0, -4.0)}
+# one ascending and one descending (integrate_cm's left side) solution per method
+_DENSE_RUNS = {(method, end): solve_ivp(_dense_rhs, (0.0, end), [1.0, 0.5, 0.2], method=method,
+                                        rtol=1e-10, atol=1e-12, dense_output=True)
+               for method in ("RK45", "DOP853") for end in (4.0, -4.0)}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(_DENSE_RUNS)), st.data())
-def test_stacked_dense_matches_ode_solution(end, data):
-    sol = _DENSE_RUNS[end].sol
-    knots = _DENSE_RUNS[end].t
+def test_stacked_dense_matches_ode_solution(run, data):
+    _, end = run
+    sol = _DENSE_RUNS[run].sol
+    knots = _DENSE_RUNS[run].t
     points = st.one_of(st.floats(min(0.0, end) - 0.5, max(0.0, end) + 0.5),
                        st.sampled_from(knots.tolist()))
     # unsorted draws, repeated knots and both ends
@@ -331,6 +339,30 @@ class TestRunStats:
             tracer.uninstall()
         assert tracer.counts["integrate.steps"] == p.meta["steps"] > 0
         assert tracer.counts["integrate.rhs_evals"] == p.meta["rhs_evals"]
+
+    def test_events_reuse_F(self, monkeypatch):
+        # the stop events look at each step end after the dense output's extra
+        # stages, and take F there from the right-hand side's recent values
+        calls, inside = [0], [False]
+        F_at, eval_F = integrate._Rhs.F_at, integrate.eval_F_float
+
+        def counted_F_at(self, r1):
+            inside[0] = True
+            try:
+                return F_at(self, r1)
+            finally:
+                inside[0] = False
+
+        def counted_eval_F(rel, r1):
+            calls[0] += inside[0]
+            return eval_F(rel, r1)
+
+        monkeypatch.setattr(integrate._Rhs, "F_at", counted_F_at)
+        monkeypatch.setattr(integrate, "eval_F_float", counted_eval_F)
+        p = integrate_cm(LinearHopf(3.0, -3.0), 1.0, 2.0, (1e-3, math.pi - 1e-3),
+                         step_control=StepControl(grid_step=0.01))
+        assert p.meta["runs"] == 2 and p.meta["steps"] > 0
+        assert calls[0] == p.meta["rhs_evals"]
 
 
 # explicit relations r2 = lam*r1 + r0*(1 - lam) + eps*sin(r1 - r0): umbilic at r0, slope lam + eps

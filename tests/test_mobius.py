@@ -165,6 +165,26 @@ class TestDecompose:
                 assert b_ == pytest.approx(a_, abs=1e-10 * max(1.0, abs(a_)))
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", range(4))
+    def test_moebius_element_rejects(self, position, value):
+        entries = [1.0, 0.0, 0.0, 1.0]
+        entries[position] = value
+        with pytest.raises(ValueError, match="not all finite"):
+            MoebiusElement(*entries)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_calibration_rejects(self, value, sphere2):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            Calibration(value)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            reparameterize(MoebiusElement(1, 0.5, 0, 1), sphere2, value)
+
+
 class TestReparameterize:
     def test_translation_identity_angles(self, sphere2):
         rep = reparameterize(MoebiusElement(1, 0.5, 0, 1), sphere2, Calibration(1.0))
