@@ -90,6 +90,24 @@ def _finite(value, what: str, nonzero: bool = False) -> float:
     return x
 
 
+def _angle(config: dict, key: str, default: float) -> float:
+    """config[key] (or the default) as a Gauss angle, or a usage error."""
+    what = f"{key} must be an angle in [0, pi]"
+    theta = _finite(config.get(key, default), what)
+    if not 0.0 <= theta <= math.pi:
+        raise CliUsageError(f"{what}, not {theta!r}")
+    return theta
+
+
+def _angle_interval(config: dict, keys: tuple[str, str],
+                    defaults: tuple[float, float]) -> tuple[float, float]:
+    """Two angles of the config that must be in increasing order."""
+    lo, hi = (_angle(config, k, d) for k, d in zip(keys, defaults))
+    if not lo < hi:
+        raise CliUsageError(f"{keys[0]} {lo!r} must be below {keys[1]} {hi!r}")
+    return lo, hi
+
+
 def _relation_kind(rel: WeingartenRelation) -> str:
     return type(rel).__name__
 
@@ -148,10 +166,9 @@ def cmd_parse(config: dict) -> int:
 
 def cmd_integrate(config: dict) -> int:
     rel = parse_relation(config["relation"])
-    theta0 = float(config.get("theta0", math.pi / 2.0))
+    theta0 = _angle(config, "theta0", math.pi / 2.0)
     r1_0 = float(config["r1"])
-    interval = (float(config.get("theta_min", 1e-6)),
-                float(config.get("theta_max", math.pi - 1e-6)))
+    interval = _angle_interval(config, ("theta_min", "theta_max"), (1e-6, math.pi - 1e-6))
     sc = StepControl()
     if "grid_step" in config:
         sc.grid_step = float(config["grid_step"])
@@ -251,10 +268,9 @@ def cmd_reduce(config: dict) -> int:
 def cmd_variational(config: dict) -> int:
     rel = parse_relation(config["relation"])
     kind = config.get("lagrangian", "L0").lower()
-    theta0 = float(config.get("theta0", math.pi / 2.0))
+    theta0 = _angle(config, "theta0", math.pi / 2.0)
     r1_0 = float(config["r1"])
-    th1 = float(config.get("theta1", 0.3))
-    th2 = float(config.get("theta2", 1.2))
+    th1, th2 = _angle_interval(config, ("theta1", "theta2"), (0.3, 1.2))
     if kind == "l0" and th1 < math.pi / 2.0 < th2:
         raise CliDomainError("L0 verification interval must not straddle pi/2")
     spec = {"l0": L0Spec(), "hopf-l1": HopfL1Spec(), "cubic-l1": CubicL1Spec()}.get(kind)

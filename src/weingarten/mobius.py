@@ -76,7 +76,9 @@ class MoebiusElement:
 
     A positive determinant is rescaled to exactly 1 by dividing through
     by its square root; a non-finite entry or a non-positive determinant is
-    rejected.
+    rejected.  The determinant is formed from the entries scaled by the
+    power of two 2^e just above the largest |entry| (exact), so that no
+    finite matrix overflows or underflows on the way.
     """
 
     a: float
@@ -85,17 +87,20 @@ class MoebiusElement:
     d: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
-            raise ValueError(f"matrix entries {(self.a, self.b, self.c, self.d)} are not all finite")
-        det = self.a * self.d - self.b * self.c
-        if det <= 0.0:
+        entries = (self.a, self.b, self.c, self.d)
+        if not all(map(math.isfinite, entries)):
+            raise ValueError(f"matrix entries {entries} are not all finite")
+        e = math.frexp(max(map(abs, entries)))[1]
+        a, b, c, d = (math.ldexp(x, -e) for x in entries)
+        unit_det = a * d - b * c
+        with np.errstate(over="ignore"):
+            det = float(np.ldexp(unit_det, 2 * e))
+        if unit_det <= 0.0:
             raise ValueError(f"determinant {det} is not positive")
         if abs(det - 1.0) > 1e-12:
-            s = math.sqrt(det)
-            object.__setattr__(self, "a", self.a / s)
-            object.__setattr__(self, "b", self.b / s)
-            object.__setattr__(self, "c", self.c / s)
-            object.__setattr__(self, "d", self.d / s)
+            s = math.sqrt(unit_det)
+            for name, x in zip("abcd", (a, b, c, d)):
+                object.__setattr__(self, name, x / s)
 
     @property
     def det(self) -> float:

@@ -2,10 +2,11 @@
 
 The declared schemes for the whole package:
 
-* dense ODE output -- the RK45 or DOP853 interpolants of the run, as power
+* dense ODE output -- the DOP853 interpolants of the run, as power
   coefficients, one array query at a time;
 * quadrature -- adaptive Simpson, abs tol 1e-10 / rel tol 1e-8, and a
-  fixed 4-point Gauss-Legendre rule for short segments of smooth data;
+  fixed 4-point Gauss-Legendre rule for short segments of smooth data
+  (the support, and the numeric multiplier's J and G2);
 * derivatives of sampled data -- centered 4th-order stencils on uniform
   grids (one-sided 4th-order at the ends), quintic spline otherwise;
 * maxima of sampled data -- grid argmax plus 3-point parabolic refinement.
@@ -50,11 +51,10 @@ _DOP853_POWERS = _dop853_power_matrix()
 
 
 class StackedDense:
-    """A scipy RK ``OdeSolution``'s segments (RK45's or DOP853's) stacked once as
-    power coefficients C, y = y_old + sum_k C[:, k] x^(k+1) with x = (t - t_old) / h,
-    so that a query of shape S costs a fixed number of numpy steps and gives
-    values of shape (states,) + S.  C is h Q for RK45 and the expanded nested
-    form for DOP853; all segments come from one method.
+    """A DOP853 ``OdeSolution``'s segments stacked once as power coefficients C,
+    y = y_old + sum_k C[:, k] x^(k+1) with x = (t - t_old) / h and C the
+    expanded nested form, so that a query of shape S costs a fixed number of
+    numpy steps and gives values of shape (states,) + S.
 
     Segments are picked by OdeSolution's rule: a knot belongs to the lower-index one.
     """
@@ -64,7 +64,7 @@ class StackedDense:
         self.ts_sorted, self.side = sol.ts_sorted, sol.side
         self.t_old = np.array([s.t_old for s in segs])
         self.h = np.array([s.h for s in segs])
-        coeffs = [s.h * s.Q if hasattr(s, "Q") else (_DOP853_POWERS @ s.F).T for s in segs]
+        coeffs = [(_DOP853_POWERS @ s.F).T for s in segs]
         self.C = np.moveaxis(np.array(coeffs), 0, -1)            # (states, powers, segments)
         self.y_old = np.array([s.y_old for s in segs]).T          # (states, segments)
 
@@ -156,7 +156,7 @@ def gauss_segments(f: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_X
     sums = [(f(nodes[j:j + 4096]) * _GAUSS_W).sum(axis=-1) for j in range(0, len(nodes), 4096)]
-    return half * np.concatenate(sums)
+    return half * np.concatenate([np.zeros(0)] + sums)
 
 
 def cumulative_simpson_uniform(f: np.ndarray, h: float) -> np.ndarray:

@@ -318,6 +318,16 @@ def eval_F_float(rel: WeingartenRelation, u):
     return np.where(out == -np.inf, np.inf, np.broadcast_to(out, u.shape))
 
 
+def _F_or_nan(rel: WeingartenRelation, u: np.ndarray) -> np.ndarray:
+    """eval_F_float on an array of finite floats, but nan where an explicit F
+    leaves its domain instead of raising (and an overflow may keep its sign)."""
+    if not isinstance(rel, ExplicitF):
+        return eval_F_float(rel, u)
+    with np.errstate(all="ignore"):
+        out, pole, outside = rel.compiled(u)
+    return np.broadcast_to(np.where(pole, np.inf, np.where(outside, np.nan, out)), u.shape)
+
+
 def eval_F(rel: WeingartenRelation, r1: float) -> float:
     """Scalar F: eval_F_float on one float, np.inf at infinity."""
     return eval_F_float(rel, float(r1))

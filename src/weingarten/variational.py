@@ -32,20 +32,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution, solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import brentq
 
 from .geometry import POLE_EPS, SupportProfile
-from .numerics import StackedDense
+from .numerics import gauss_segments
 from .relations import (
     CubicRoC,
     LinearHopf,
     PureKLinear,
     RelationError,
     WeingartenRelation,
+    _F_or_nan,
     eval_F_float,
     eval_F_prime,
     fixed_points,
@@ -133,55 +135,70 @@ def _closed_forms(rel: WeingartenRelation):
     return (lambda u: np.log(g(u)) / (1.0 - lam), lambda u: g(u) ** (lam / (1.0 - lam)), G2)
 
 
-def _J_stop(u, y):
-    """The |J| <= 690 stop of the numeric J run (exp(J) stays finite)."""
-    return 690.0 - abs(y[0])
+_J_STOP = 690.0                # |J| where the reach ends, so that exp(J) stays finite
+_J_PANEL = 0.1                 # about the change of J, or of ln(distance to an end), per panel
+_MAX_PANELS = 2 ** 16          # per side, whatever the estimate asks for
+_FRACTIONS = np.logspace(-16.0, 0.0, 513)[:-1]   # of a side, geometric toward either end
 
 
-class _JRun:
-    """One side of the numeric (J, G2) run: RK45 from the base point toward an
-    interval end, stepped only as far as queries reach.
+class _Panels:
+    """One side of the numeric J: 4-point Gauss panels from the base point toward
+    an interval end, J summed at their edges outward from the base point, and G2
+    likewise on its first query.  A query adds one segment from the edge below it, as
+    ``geometry.support_by_quadrature`` does, so no value depends on another query.
 
-    The steps, the stop at |J| = 690 (its root found as ``solve_ivp`` finds
-    a terminal event's) and so every dense value are those of one
-    ``solve_ivp`` run over the whole side.
-
-    The run stays RK45, unlike the Codazzi-Mainardi run: toward a fixed
-    point u* of F, J' = 1/(u - F(u)) grows like 1/(u - u*), and there DOP853
-    at rtol 1e-12 shrinks its steps until they underflow.  Below the base
-    point 1 of ``SemiQuadratic(0, 1, 1, -4)`` it stopped 4.8e-11 short of
-    u* = 0.5 after 42,251 steps (22 s), where RK45 came within 1.1e-11 in
-    5,959 steps (1.5 s).
+    The panels equidistribute max(|J'|, 1/(distance to the nearer interval
+    end), 4/max(1, |base|)) / 0.1 over samples geometric toward both ends of
+    the side, from one array evaluation of F: J moves about 0.1 per panel, and
+    the panels shrink geometrically toward a fixed point at an end.  The reach
+    ends where |J| first reaches 690 (one root solve) or before F is undefined.
     """
 
-    def __init__(self, rhs, base: float, end: float):
-        self.solver = RK45(rhs, base, [0.0, 0.0], end, rtol=1e-12, atol=1e-14)
-        self.ts, self.segments = [base], []
-        self.stopped = self.solver.status != "running"
-        self.dense = None
+    def __init__(self, rel: WeingartenRelation, sign: float, base: float, end: float,
+                 interval: tuple[float, float]):
+        self.rel, self.sign, self.out = rel, sign, math.copysign(1.0, end - base)
+        span = end - base
+        u = np.unique(np.concatenate([[base, end], base + span * _FRACTIONS,
+                                      end - span * _FRACTIONS]))[::int(self.out)]   # base first
+        jp = self._jp(u)
+        # the estimated |J| stays below the stop with a margin, and F is defined
+        ok = np.abs(cumulative_trapezoid(jp, u, initial=0.0)) <= 1.1 * _J_STOP
+        keep = np.logical_and.accumulate(ok)
+        u, jp, complete = u[keep], jp[keep], keep.all()
+        near = np.minimum(np.abs(u - interval[0]), np.abs(interval[1] - u))
+        rho = np.maximum(np.maximum(np.abs(jp), 1.0 / np.maximum(near, 1e-14 * abs(span))),
+                         4.0 / max(1.0, abs(base))) / _J_PANEL
+        N = np.abs(cumulative_trapezoid(rho, u, initial=0.0))
+        n = min(math.ceil(N[-1]), _MAX_PANELS)
+        self.edges = np.interp(np.linspace(0.0, N[-1], n + 1), N, u)
+        self.J_sums = np.cumsum(np.append(0.0, gauss_segments(self._jp, self.edges[:-1],
+                                                              self.edges[1:])))
+        self.reach = self.edges[-1] + self.out * 1e-12 if complete else self.edges[-1]
+        i = int(np.argmin(np.abs(self.J_sums) < _J_STOP))   # first edge past the reach, or 0
+        if i:
+            self.reach = (brentq(lambda x: abs(self(np.array([x]))[0]) - _J_STOP,
+                                 *sorted(self.edges[i - 1:i + 1]), xtol=4 * _EPS, rtol=4 * _EPS)
+                          if np.isfinite(self.J_sums[i]) else self.edges[i - 1])
+            self.edges, self.J_sums = self.edges[:i], self.J_sums[:i]
 
-    def cover(self, u: float) -> Optional[StackedDense]:
-        """Dense output over the run so far (None before its first step),
-        stepped on until it passes ``u`` or the run ends."""
-        solver, grown = self.solver, False
-        while not self.stopped and solver.direction * (u - self.ts[-1]) > 0.0:
-            solver.step()
-            if solver.status == "failed":
-                self.stopped = True
-                break
-            sol, t = solver.dense_output(), solver.t
-            if _J_stop(t, solver.y) <= 0.0:
-                t = brentq(lambda x: _J_stop(x, sol(x)), solver.t_old, t,
-                           xtol=4 * _EPS, rtol=4 * _EPS)
-                self.stopped = True
-            self.stopped |= solver.status == "finished"
-            if t != self.ts[-1]:
-                self.ts.append(t)
-                self.segments.append(sol)
-                grown = True
-        if grown:
-            self.dense = StackedDense(OdeSolution(self.ts, self.segments))
-        return self.dense
+    def _jp(self, u: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return 1.0 / (u - _F_or_nan(self.rel, u))
+
+    def _g2_integrand(self, u: np.ndarray) -> np.ndarray:
+        return self.sign * np.exp(self(u))
+
+    @cached_property
+    def G2_sums(self) -> np.ndarray:
+        return np.cumsum(np.append(0.0, gauss_segments(self._g2_integrand, self.edges[:-1],
+                                                       self.edges[1:])))
+
+    def __call__(self, u: np.ndarray, g2: bool = False) -> np.ndarray:
+        """J at u past the base point, or G2 with ``g2``."""
+        sums, f = (self.G2_sums, self._g2_integrand) if g2 else (self.J_sums, self._jp)
+        flat = np.ravel(u)
+        k = np.searchsorted(self.out * self.edges, self.out * flat, side="right") - 1
+        return (sums[k] + gauss_segments(f, self.edges[k], flat)).reshape(np.shape(u))
 
 
 class Multiplier:
@@ -189,10 +206,10 @@ class Multiplier:
 
     Valid on a fixed-point-free interval around ``base_point``; linear
     Hopf and cubic relations use their closed forms (matching the
-    literature normalization), everything else integrates
-    J' = 1/(u - F(u)) from the base point, each side only as far as the
-    queries so far reach.  Every method takes a float (and returns a
-    float) or an array (one dense-output call per side of the base point).
+    literature normalization), everything else sums J' = 1/(u - F(u)) and
+    G2' = +-exp(J) over Gauss panels from the base point (``_Panels``, one
+    table per side, built on first use).  Every method takes a float (and
+    returns a float) or an array.
     """
 
     def __init__(self, rel: WeingartenRelation, base_point: float,
@@ -207,7 +224,6 @@ class Multiplier:
         if interval is None:
             interval = self._enclosing_interval()
         self.interval = (float(interval[0]), float(interval[1]))
-        self._runs = None                  # the numeric J, stepped on demand
         self._forms = _closed_forms(rel)   # numpy (J, Phi0, G2), or None for numeric J
 
     # -- construction helpers ------------------------------------------------
@@ -230,49 +246,32 @@ class Multiplier:
                 f"argument outside the fixed-point-free interval {self.interval}")
         return u
 
+    @cached_property
+    def _sides(self) -> dict:
+        """The numeric J's panel tables, keyed by ``below`` the base point."""
+        return {end < self.base_point: _Panels(self.rel, self._sign, self.base_point, end,
+                                               self.interval)
+                for end in self.interval if end != self.base_point}
+
     def defined(self, u) -> np.ndarray:
         """Mask of the arguments every method accepts: inside the interval
-        and, for a numeric J, within the reach of its run."""
+        and, for a numeric J, within the reach of its panels."""
         u = np.asarray(u, dtype=float)
-        ok = np.array(self._inside(u))
-        if self._forms is None and ok.any():
-            ok[ok] = ~np.isnan(self._J_and_G2(u[ok])[0])
-        return ok
+        if self._forms is not None:
+            return self._inside(u)
+        lo, hi = (getattr(self._sides.get(below), "reach", self.base_point)
+                  for below in (True, False))
+        return self._inside(u) & (u >= lo) & (u <= hi)
 
-    def _J_runs(self) -> dict:
-        """The two sides of the numeric J run, keyed by ``below`` the base point."""
-        if self._runs is None:
-            def rhs(u, y):
-                F = float(eval_F_float(self.rel, u))
-                j = 1.0 / (u - F)
-                return [j, self._sign * math.exp(min(y[0], 700.0))]
-
-            self._runs = {end < self.base_point: _JRun(rhs, self.base_point, end)
-                          for end in self.interval if end != self.base_point}
-        return self._runs
-
-    def _J_and_G2(self, u: np.ndarray) -> np.ndarray:
-        """Numeric rows (J(u), G2(u)) anchored at the base point; NaN beyond the
-        reach of the run."""
-        flat = np.ravel(u)
-        out = np.zeros((2, flat.size))
-        runs = self._J_runs()
-        for below, side in ((True, flat < self.base_point), (False, flat > self.base_point)):
-            if not side.any():
-                continue
-            out[:, side] = np.nan
-            pts = flat[side]
-            dense = runs[below].cover(pts.min() if below else pts.max()) if below in runs else None
-            if dense is not None:
-                tmin, tmax = dense.ts_sorted[[0, -1]]
-                reached = (pts >= tmin - 1e-12) & (pts <= tmax + 1e-12)
-                out[:, np.flatnonzero(side)[reached]] = dense(pts[reached])
-        return out.reshape((2,) + np.shape(u))
-
-    def _numeric(self, u: np.ndarray) -> np.ndarray:
-        out = self._J_and_G2(u)
-        if np.isnan(out).any():
+    def _numeric(self, u: np.ndarray, g2: bool = False) -> np.ndarray:
+        """The numeric J (G2 if ``g2``), anchored at the base point."""
+        if not np.all(self.defined(u)):
             raise SingularMultiplierError("argument beyond the multiplier's reach")
+        out = np.zeros(u.shape)
+        for below, side in self._sides.items():
+            on = u < self.base_point if below else u > self.base_point
+            if on.any():
+                out[on] = side(u[on], g2)
         return out
 
     # -- core evaluations ----------------------------------------------------
@@ -280,7 +279,7 @@ class Multiplier:
     def J(self, u):
         """Antiderivative of 1/(u - F(u)); closed form where available."""
         x = self._check(u)
-        return _like(u, self._forms[0](x) if self._forms else self._numeric(x)[0])
+        return _like(u, self._forms[0](x) if self._forms else self._numeric(x))
 
     def phi0(self, u):
         """Phi0(u) = exp(J(u))/|u - F(u)| (strictly positive)."""
@@ -296,12 +295,12 @@ class Multiplier:
         for L0 exact (the integration constant must vanish).
         """
         x = self._check(u)
-        return _like(u, (x - eval_F_float(self.rel, x)) * self.phi0(x))
+        return _like(u, self.phi0(x) * (x - eval_F_float(self.rel, x)))
 
     def G2(self, u):
         """Outer antiderivative of Phi0 (second antiderivative, convex)."""
         x = self._check(u)
-        return _like(u, self._forms[2](x) if self._forms else self._numeric(x)[1])
+        return _like(u, self._forms[2](x) if self._forms else self._numeric(x, g2=True))
 
     def I_exp(self, u):
         """exp(int du/(F - u)) = exp(-J(u)) (the angular part of I)."""

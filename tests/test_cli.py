@@ -88,6 +88,15 @@ class TestIntegrateCmd:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [["--theta0", "nan"], ["--theta0", "4"],
+                                       ["--theta-max", "inf"],
+                                       ["--theta-min", "2.0", "--theta-max", "1.0"]])
+    def test_bad_angle_or_interval_exit_1(self, capsys, extra):
+        # input errors, not numeric failures
+        assert run(["integrate", "--relation", "r2 = 2*r1", "--r1", "1.0"] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTransformCmd:
     def test_translate_sphere(self, tmp_path):
@@ -220,6 +229,15 @@ class TestVariationalCmd:
         assert run(args + ["--report", rep_path]) == 0
         rep, clean = json.load(open(rep_path)), json.load(open(clean_path))
         assert math.isfinite(rep["Q_drift"]) and rep["Q_drift"] == clean["Q_drift"]
+
+    @pytest.mark.parametrize("extra", [["--theta1", "1.2", "--theta2", "0.3"],
+                                       ["--theta1", "nan"], ["--theta0", "-0.5"]])
+    def test_bad_angle_or_interval_exit_1(self, capsys, extra):
+        args = ["variational", "--relation", "r2 = 2*r1", "--lagrangian", "L0",
+                "--theta0", "0.75", "--r1", "0.68"]
+        assert run(args + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_interval_across_equator_exit_3(self):
         rc = run(["variational", "--relation", "r2 = 2*r1", "--lagrangian", "L0",

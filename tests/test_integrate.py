@@ -249,18 +249,17 @@ def _dense_rhs(t, y):
     return [math.cos(3.0 * t) * y[1], math.sin(t) - y[0], 0.1 * y[0] * y[1]]
 
 
-# one ascending and one descending (integrate_cm's left side) solution per method
-_DENSE_RUNS = {(method, end): solve_ivp(_dense_rhs, (0.0, end), [1.0, 0.5, 0.2], method=method,
-                                        rtol=1e-10, atol=1e-12, dense_output=True)
-               for method in ("RK45", "DOP853") for end in (4.0, -4.0)}
+# one ascending and one descending (integrate_cm's left side) DOP853 solution
+_DENSE_RUNS = {end: solve_ivp(_dense_rhs, (0.0, end), [1.0, 0.5, 0.2], method="DOP853",
+                              rtol=1e-10, atol=1e-12, dense_output=True)
+               for end in (4.0, -4.0)}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(_DENSE_RUNS)), st.data())
-def test_stacked_dense_matches_ode_solution(run, data):
-    _, end = run
-    sol = _DENSE_RUNS[run].sol
-    knots = _DENSE_RUNS[run].t
+def test_stacked_dense_matches_ode_solution(end, data):
+    sol = _DENSE_RUNS[end].sol
+    knots = _DENSE_RUNS[end].t
     points = st.one_of(st.floats(min(0.0, end) - 0.5, max(0.0, end) + 0.5),
                        st.sampled_from(knots.tolist()))
     # unsorted draws, repeated knots and both ends

@@ -185,6 +185,18 @@ class TestNonFiniteEntries:
             reparameterize(MoebiusElement(1, 0.5, 0, 1), sphere2, value)
 
 
+class TestExtremeFiniteEntries:
+    # the determinant of the entries as given overflows or underflows
+    @pytest.mark.parametrize("entries, normalized", [
+        ((1e200, 0.0, 0.0, 1e200), (1.0, 0.0, 0.0, 1.0)),
+        ((1e170, 1e170, 0.0, 1e170), (1.0, 1.0, 0.0, 1.0)),
+        ((1e-200, 0.0, 0.0, 1e-200), (1.0, 0.0, 0.0, 1.0)),
+    ])
+    def test_normalized_to_det_one(self, entries, normalized):
+        m = MoebiusElement(*entries)
+        assert (m.a, m.b, m.c, m.d) == normalized and m.det == 1.0
+
+
 class TestReparameterize:
     def test_translation_identity_angles(self, sphere2):
         rep = reparameterize(MoebiusElement(1, 0.5, 0, 1), sphere2, Calibration(1.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from weingarten import (
     CubicL1Spec,
@@ -32,7 +33,8 @@ from weingarten import (
     second_variation,
     sine_perturbation_basis,
 )
-from weingarten.numerics import StackedDense, adaptive_simpson
+from weingarten import variational
+from weingarten.numerics import adaptive_simpson
 from weingarten.relations import eval_F_float
 from weingarten.variational import SingularMultiplierError, lagrangian_partials
 
@@ -523,7 +525,7 @@ class TestQReference:
                                abs_tol=1e-13, rel_tol=1e-12), rel=1e-9)
 
 
-# relation, base point and query window; the last one's J run stops at
+# relation, base point and query window; the last one's J stops at
 # |J| = 690 near u = 0.002, inside its window (the base point is outside it)
 LAZY_CASES = {
     "explicit": (explicit_relation(2.5, 0.05), 0.8, (0.05, 3.8)),
@@ -534,8 +536,8 @@ LAZY_CASES = {
 
 @functools.lru_cache(maxsize=None)
 def full_J_runs(case):
-    """The numeric (J, G2) of a case as one solve_ivp run over each whole side
-    of the base point, with the |J| <= 690 terminal event."""
+    """The reference (J, G2) of a case: one RK45 solve_ivp run over each whole
+    side of the base point, with the |J| <= 690 terminal event."""
     rel, base, _ = LAZY_CASES[case]
     m = Multiplier(rel, base)
     sign = math.copysign(1.0, base - eval_F_float(rel, base))
@@ -547,65 +549,92 @@ def full_J_runs(case):
     def ev(u, y):
         return 690.0 - abs(y[0])
     ev.terminal = True
-    return {end < base: StackedDense(solve_ivp(rhs, (base, end), [0.0, 0.0], method="RK45",
-                                               rtol=1e-12, atol=1e-14, dense_output=True,
-                                               events=ev).sol)
+    return {end < base: solve_ivp(rhs, (base, end), [0.0, 0.0], method="RK45", rtol=1e-12,
+                                  atol=1e-14, dense_output=True, events=ev)
             for end in m.interval}
 
 
 def full_J_and_G2(case, u):
-    """(J, G2) at u from the full runs, or None where a point is beyond their reach."""
+    """(J, G2) at u from the reference runs' own dense output."""
     _, base, _ = LAZY_CASES[case]
     out = np.zeros((2, len(u)))
     for below, side in ((True, u < base), (False, u > base)):
         if side.any():
-            dense = full_J_runs(case)[below]
-            lo, hi = dense.ts_sorted[[0, -1]]
-            if np.any(u[side] < lo - 1e-12) or np.any(u[side] > hi + 1e-12):
-                return None
-            out[:, side] = dense(u[side])
+            out[:, side] = full_J_runs(case)[below].sol(u[side])
     return out
 
 
-class TestLazyJ:
+class TestNumericJ:
+    REL = 1e-10   # J and G2 against the RK45 reference, relative to max(1, |reference|)
+
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(sorted(LAZY_CASES)),
            st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.5),
                               st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)),
                     min_size=1, max_size=6))
-    def test_lazy_J_equals_full_run(self, case, queries):
-        # a fresh multiplier steps J only as far as each query in turn needs
+    def test_J_and_G2_match_the_rk45_runs(self, case, queries):
         rel, base, (a, b) = LAZY_CASES[case]
-        m = Multiplier(rel, base)
+        m, fresh = Multiplier(rel, base), Multiplier(rel, base)
+        lo, hi = (full_J_runs(case)[below].t[-1] for below in (True, False))
         for centre, width, offsets in queries:
             u = np.clip(a + centre * (b - a) + width * np.array(offsets), a, b)
-            want = full_J_and_G2(case, u)
-            if want is None:
+            # the reach is the reference's, up to 1e-9 relative at a J stop
+            margin = 1e-9 * np.abs(u)
+            defined = m.defined(u)
+            assert np.all(defined[(u - lo > margin) & (hi - u > margin)])
+            assert not np.any(defined[(lo - u > margin) | (u - hi > margin)])
+            if not defined.all():
                 with pytest.raises(SingularMultiplierError):
                     m.J(u)
-                assert not np.all(m.defined(u))
-                continue
-            assert np.array_equal(np.array([m.J(u), m.G2(u)]), want)
-            assert m.J(float(u[0])) == want[0, 0]
-            assert np.all(m.defined(u))
+            u = u[defined]
+            got = np.array([m.J(u), m.G2(u)])
+            want = full_J_and_G2(case, u)
+            assert np.all(np.abs(got - want) <= self.REL * np.maximum(1.0, np.abs(want)))
+            # the same bits one point at a time, in another order, from a multiplier
+            # that saw other queries before
+            singles = np.array([[fresh.J(float(x)), fresh.G2(float(x))] for x in u[::-1]])
+            np.testing.assert_array_equal(got, singles[::-1].T.reshape(got.shape))
 
-    def test_queries_near_the_base_step_a_fraction_of_the_run(self):
-        rel, base, _ = LAZY_CASES["semi-quadratic"]
-        m = Multiplier(rel, base)
-        m.J(np.linspace(0.9, 1.1, 5))
-        steps = {below: len(run.segments) for below, run in m._J_runs().items()}
-        full = {below: len(dense.h) for below, dense in full_J_runs("semi-quadratic").items()}
-        assert steps[True] < full[True] / 10 and steps[False] < full[False] / 2
-
-    def test_reach_ends_at_the_J_stop(self):
+    def test_reach_ends_at_the_J_stop(self, monkeypatch):
         rel, base, _ = LAZY_CASES["J stop"]
+        stop = full_J_runs("J stop")[True].t_events[0][0]
+        roots = []
+
+        def counted(*args, **kwargs):
+            roots.append(args)
+            return brentq(*args, **kwargs)
+        monkeypatch.setattr(variational, "brentq", counted)
         m = Multiplier(rel, base)
+        assert 1e-3 < stop < 0.01
+        assert m.defined(stop * (1.0 + 1e-9)) and not m.defined(stop * (1.0 - 1e-9))
+        assert len(roots) == 1   # one root solve, in the panel where |J| reaches 690
+        assert m.J(stop * (1.0 + 1e-9)) == pytest.approx(-690.0, rel=1e-6)
+        assert not m.defined(1e-3)
         with pytest.raises(SingularMultiplierError):
             m.J(1e-3)
-        stop = full_J_runs("J stop")[True].ts_sorted[0]
-        assert 1e-3 < stop < 0.01 and m._J_runs()[True].ts[-1] == stop
-        assert m.J(stop) == full_J_and_G2("J stop", np.array([stop]))[0, 0]
-        assert not m.defined(np.array([1e-3]))[0] and m.defined(np.array([stop]))[0]
+
+    def test_semi_quadratic_closed_form(self):
+        # J = ln(u)/2 + ln(2u - 1)/2 and G2 = sign * int_1^u sqrt(v (2v - 1)) dv
+        rel = SemiQuadratic(0.0, 1.0, 1.0, -4.0)
+        m = Multiplier(rel, 1.0)
+        u = np.concatenate([0.5 + np.logspace(-3.0, -0.5, 40), np.linspace(1.0, 10.9, 40)])
+        assert np.max(np.abs(m.J(u) - 0.5 * np.log(u) - 0.5 * np.log(2.0 * u - 1.0))) <= 2e-12
+
+        def outer(v):
+            x = v - 0.25
+            w = np.sqrt(x * x - 0.0625)
+            return math.sqrt(2.0) * (0.5 * x * w - np.log(x + w) / 32.0)
+        v = np.linspace(0.6, 10.9, 40)
+        sign = math.copysign(1.0, 1.0 - eval_F_float(rel, 1.0))
+        assert np.max(np.abs(m.G2(v) - sign * (outer(v) - outer(1.0)))) <= 1e-12
+
+    def test_domain_exit_ends_the_reach(self):
+        # sqrt(r1) is undefined below 0, inside the given interval
+        m = Multiplier(parse_relation("r2 = 2*r1 + 1 + sqrt(r1)"), 10.0, interval=(-5.0, 40.0))
+        np.testing.assert_array_equal(m.defined([5.0, -1.0]), [True, False])
+        with pytest.raises(SingularMultiplierError):
+            m.J(-1.0)
+        assert math.isfinite(m.J(5.0))
 
 
 def _off_trajectory_states(m, n, rng):
