@@ -375,6 +375,9 @@ def induced_surface(M: MoebiusElement, profile: RoCProfile,
     tt = tt_sorted[keep]
     if len(tt) < 5:
         raise EmptyDomainError("admissible domain too small for a profile")
+    steps = np.diff(theta_src)
+    if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+        raise EmptyDomainError("the Gauss-angle map folds: theta is not monotone in theta~")
 
     r1_src = np.asarray(profile.r1_at(theta_src), dtype=float)
     r2_src = np.asarray(profile.r2_at(theta_src), dtype=float)

@@ -29,7 +29,10 @@ CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 def _atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write ``text``, or its parts one after another, to a temp file, then rename it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:   # name the target, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)

@@ -147,11 +147,12 @@ class _Panels:
     likewise on its first query.  A query adds one segment from the edge below it, as
     ``geometry.support_by_quadrature`` does, so no value depends on another query.
 
-    The panels equidistribute max(|J'|, 1/(distance to the nearer interval
-    end), 4/max(1, |base|)) / 0.1 over samples geometric toward both ends of
-    the side, from one array evaluation of F: J moves about 0.1 per panel, and
-    the panels shrink geometrically toward a fixed point at an end.  The reach
-    ends where |J| first reaches 690 (one root solve) or before F is undefined.
+    The panels equidistribute max(|J'|, 1/(distance to the nearer end),
+    4/max(1, |base|)) / 0.1 over samples geometric toward both ends of the side
+    and toward the edge of F's domain inside it, if any (array k-section): J
+    moves about 0.1 per panel, and the panels shrink geometrically toward a
+    fixed point or that edge.  The reach ends where |J| first reaches 690 (one
+    root solve) or at the edge.
     """
 
     def __init__(self, rel: WeingartenRelation, sign: float, base: float, end: float,
@@ -161,11 +162,17 @@ class _Panels:
         u = np.unique(np.concatenate([[base, end], base + span * _FRACTIONS,
                                       end - span * _FRACTIONS]))[::int(self.out)]   # base first
         jp = self._jp(u)
+        edge, i = end, int(np.argmin(np.isfinite(jp)))   # i: the first undefined sample, or 0
+        if i:   # F's domain ends between samples i - 1 and i: sample toward its edge
+            edge = self._domain_edge(u[i - 1], u[i])
+            u = np.unique(np.concatenate([u[:i], [edge], edge - (edge - base) * _FRACTIONS]))
+            u = u[::int(self.out)]
+            jp = self._jp(u)
         # the estimated |J| stays below the stop with a margin, and F is defined
         ok = np.abs(cumulative_trapezoid(jp, u, initial=0.0)) <= 1.1 * _J_STOP
         keep = np.logical_and.accumulate(ok)
         u, jp, complete = u[keep], jp[keep], keep.all()
-        near = np.minimum(np.abs(u - interval[0]), np.abs(interval[1] - u))
+        near = np.min(np.abs(u[:, None] - np.array([*interval, edge])), axis=1)
         rho = np.maximum(np.maximum(np.abs(jp), 1.0 / np.maximum(near, 1e-14 * abs(span))),
                          4.0 / max(1.0, abs(base))) / _J_PANEL
         N = np.abs(cumulative_trapezoid(rho, u, initial=0.0))
@@ -173,7 +180,8 @@ class _Panels:
         self.edges = np.interp(np.linspace(0.0, N[-1], n + 1), N, u)
         self.J_sums = np.cumsum(np.append(0.0, gauss_segments(self._jp, self.edges[:-1],
                                                               self.edges[1:])))
-        self.reach = self.edges[-1] + self.out * 1e-12 if complete else self.edges[-1]
+        # an interval end gets the pad that Multiplier._inside allows, F's domain edge none
+        self.reach = self.edges[-1] + self.out * (1e-12 if complete and edge == end else 0.0)
         i = int(np.argmin(np.abs(self.J_sums) < _J_STOP))   # first edge past the reach, or 0
         if i:
             self.reach = (brentq(lambda x: abs(self(np.array([x]))[0]) - _J_STOP,
@@ -184,6 +192,15 @@ class _Panels:
     def _jp(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             return 1.0 / (u - _F_or_nan(self.rel, u))
+
+    def _domain_edge(self, a: float, b: float) -> float:
+        """The last point from ``a`` toward ``b`` where J' is finite, to adjacent floats or
+        for 12 passes; each pass evaluates 65 points and shrinks the bracket 64-fold."""
+        for _ in range(12):
+            x = np.linspace(a, b, 65)
+            j = int(np.argmin(np.isfinite(self._jp(x))))   # the first undefined point
+            a, b = x[j - 1], x[j]
+        return float(a)
 
     def _g2_integrand(self, u: np.ndarray) -> np.ndarray:
         return self.sign * np.exp(self(u))
@@ -690,6 +707,8 @@ def first_integral_Q(rel: WeingartenRelation, state: VariationalState,
     or fails to integrate, or a state at theta = pi/2, raises
     SingularMultiplierError for a scalar state and gives NaN in an array.
     """
+    if not math.isfinite(theta_base):   # solve_ivp never ends a run over a NaN span
+        raise ValueError(f"theta_base must be finite, not {theta_base!r}")
     m = _mult_at(rel, state, mult)
     th, r, r1 = (np.ravel(v).astype(float) for v in
                  np.broadcast_arrays(state.theta, state.r, state.r1))

@@ -330,3 +330,193 @@ def test_deterministic_given_config_and_seed(tmp_path):
     b["config"].pop("report")
     assert a == b
     assert a["config"]["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# the option table: every rejected value exits 1 before any relation is parsed
+
+# valid values of the options each subcommand requires
+_NEEDS = {"parse": {"relation": "r2 = 2*r1"},
+          "integrate": {"relation": "r2 = 2*r1", "r1": "1.0"},
+          "transform": {"input": "in.csv", "matrix": "[1, 0, 0, 1]"},
+          "classify": {"relation": "k1 + k2 = 4"},
+          "variational": {"relation": "r2 = 2*r1", "r1": "0.68", "theta0": "0.75"},
+          "export-mesh": {"input": "in.csv", "output": "out.obj"},
+          "report": {"input": "in.csv"}}
+
+_TEXT = ["", True, ["r2 = r1"], 5]
+_FINITE = ["nan", "inf", "-inf", "", "abc", True, [1.0], math.nan, math.inf]
+_ANGLE = _FINITE + ["-0.5", "4", -1e-9, 3.2]
+
+# (subcommand, option): values its row rejects
+_REJECTED = {
+    ("parse", "relation"): _TEXT,
+    ("transform", "input"): _TEXT,
+    ("parse", "output"): _TEXT,
+    ("integrate", "report"): _TEXT,
+    ("variational", "lagrangian"): _TEXT + ["foo", "L1"],
+    ("integrate", "r1"): _FINITE,
+    ("transform", "h_anchor"): _FINITE,
+    ("integrate", "theta0"): _ANGLE,
+    ("integrate", "theta_min"): _ANGLE,
+    ("integrate", "theta_max"): _ANGLE,
+    ("variational", "theta1"): _ANGLE,
+    ("variational", "theta2"): _ANGLE,
+    ("variational", "q_theta_base"): _ANGLE,
+    ("integrate", "grid_step"): _FINITE + ["0", "-1", 0, -1e-300],
+    ("export-mesh", "segments"): ["2", "-3", "3.5", "1e308", 3.0, 1e308, "nan", "", True, [8]],
+    ("variational", "seed"): ["-1", "1.5", "1e3", -1, 2.0, "nan", "", True, [7]],
+    ("transform", "matrix"): ["5", "", "[1,0,0]", "[1,0,0,\"x\"]", "[2,0,0,2]",
+                              "[NaN, 0, 0, 1]", "[1, 0, 0, Infinity]", "[true, 0, 0, 1]",
+                              "{}", [1, 0, 0], [1, 0, 0, "x"], [2, 0, 0, 2], 1, True],
+    ("transform", "calibration"): _FINITE + ["foo", "0", 0, -0.0],
+    ("classify", "no_reduction"): [1, 0, "true", "", None, [True]],
+}
+
+
+def _cases():
+    for (command, key), values in _REJECTED.items():
+        for value in values:
+            yield pytest.param(command, key, value, "config", id=f"{key}-config-{value!r}")
+            if isinstance(value, str) and key != "no_reduction":   # a switch takes no value
+                yield pytest.param(command, key, value, "flag", id=f"{key}-flag-{value!r}")
+
+
+def _argv(command, options):
+    return [command] + [f"--{k.replace('_', '-')}={v}" for k, v in options.items()]
+
+
+def _config(tmp_path, **values):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump(values, fh)
+    return cfg
+
+
+@pytest.mark.parametrize("command, key, value, via", list(_cases()))
+def test_rejected_value_exit_1(tmp_path, capsys, command, key, value, via):
+    needs = {k: v for k, v in _NEEDS.get(command, {}).items() if k != key}
+    argv = _argv(command, needs)
+    if via == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value}")
+        named = f"--{key.replace('_', '-')}"
+    else:
+        argv += ["--config", _config(tmp_path, **{key: value})]
+        named = f"config key {key!r}"
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} must be ") and err.count("\n") == 1
+
+
+class TestConfigValues:
+    """Every option can come from --config; flags win; the report echoes the resolved set."""
+
+    def test_segments(self, hopf_csv, tmp_path, capsys):
+        by_flag, by_config = (os.path.join(tmp_path, n) for n in ("flag.obj", "config.obj"))
+        assert run(["export-mesh", "--input", hopf_csv[0], "--segments", "8",
+                    "--output", by_flag]) == 0
+        capsys.readouterr()
+        assert run(["export-mesh", "--input", hopf_csv[0], "--output", by_config,
+                    "--config", _config(tmp_path, segments=8)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["segments"] == 8
+        assert open(by_config).read() == open(by_flag).read()
+
+    def test_lagrangian_and_derived_defaults(self, tmp_path):
+        rep_path = os.path.join(tmp_path, "v.json")
+        assert run(["variational", "--relation", "r2 = 0.5*r1 + 1", "--theta0", "0.75",
+                    "--r1", "2.0", "--report", rep_path,
+                    "--config", _config(tmp_path, lagrangian="hopf-l1")]) == 0
+        rep = json.load(open(rep_path))
+        assert rep["lagrangian_kind"] == "HopfL1Spec"
+        config = rep["config"]
+        assert (config["theta1"], config["theta2"], config["q_theta_base"]) == (0.3, 1.2, 0.3)
+        assert config["seed"] == 0
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_no_reduction(self, tmp_path, capsys, how):
+        extra = (["--no-reduction"] if how == "flag"
+                 else ["--config", _config(tmp_path, no_reduction=True)])
+        assert run(["classify", "--relation", "k1 + k2 = 4"] + extra) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["reduction"] is None and rep["config"]["no_reduction"] is True
+
+    def test_parse_relation(self, tmp_path, capsys):
+        assert run(["parse", "--config", _config(tmp_path, relation="r2 = 3*r1 - 5")]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["variant"] == "LinearHopf"
+        assert rep["config"] == {"command": "parse", "relation": "r2 = 3*r1 - 5",
+                                 "output": None}
+
+    def test_flags_win(self, tmp_path, capsys):
+        assert run(["parse", "--relation", "r2 = 3*r1 - 5",
+                    "--config", _config(tmp_path, relation="r2 = .")]) == 0
+        assert json.loads(capsys.readouterr().out)["coefficients"] == [3.0, -5.0]
+
+    def test_numeric_text_reads_as_a_flag(self, hopf_csv, tmp_path, capsys):
+        assert run(["report", "--input", hopf_csv[0]]) == 0
+        capsys.readouterr()
+        cfg = _config(tmp_path, matrix="[1, 0.5, 0, 1]", calibration="1", h_anchor="0.25")
+        assert run(["transform", "--input", hopf_csv[0], "--config", cfg]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["matrix"], config["calibration"], config["h_anchor"]) == (
+            [1.0, 0.5, 0.0, 1.0], 1.0, 0.25)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--relation", "r2 = 2*r1", "--r1", "1", "--config", "GRID"], "'grid-step'"),
+    (["integrate", "--relation", "r2 = 2*r1", "--r1", "1", "--config", "COMMAND"],
+     "'command'"),
+    (["parse", "--relation", "r2 = 2*r1", "--seed", "3"], "unrecognized arguments"),
+    (["integrate", "--relation", "r2 = 2*r1", "--r1", "1", "--bogus", "3"],
+     "unrecognized arguments"),
+    (["integrate", "--relation", "r2 = 2*r1", "--r1"], "expected one argument"),
+    (["frobnicate"], "invalid choice"),
+    ([], "required: command"),
+    (["integrate", "--relation", "r2 = 2*r1"], "integrate needs --r1"),
+    (["export-mesh", "--input", "in.csv"], "export-mesh needs --output"),
+    (["variational", "--relation", "r2 = 2*r1", "--r1", "0.68", "--theta1", "0",
+      "--theta2", "0.5"], "theta0 1.5707963267948966 must lie in the run interval"),
+    (["variational", "--relation", "r2 = 2*r1", "--r1", "0.68", "--theta0", "0.2"],
+     "theta0 0.2 must lie in the run interval"),
+    (["integrate", "--relation", "r2 = 2*r1", "--r1", "1", "--theta0", "0.1",
+      "--theta-min", "0.5", "--theta-max", "2.0"], "theta0 0.1 must lie in the run interval"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    # unknown config keys, options a subcommand lacks, argparse's own errors,
+    # missing options and a start outside variational's run interval
+    files = {"GRID": {"grid-step": 0.1}, "COMMAND": {"command": "integrate"}}
+    argv = [_config(tmp_path, **files[a]) if a in files else a for a in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_pole_start_outside_the_run_interval(tmp_path):
+    # theta0 = 0 seeds a pole start, which integrate_cm launches inside the interval
+    rep_path = os.path.join(tmp_path, "v.json")
+    assert run(["variational", "--relation", "r2 = 3*r1 - 3", "--lagrangian", "hopf-l1",
+                "--r1", "1.5", "--theta0", "0", "--theta1", "0.01", "--theta2", "0.5",
+                "--report", rep_path]) == 0
+    assert json.load(open(rep_path))["I_drift"] <= 1e-6
+
+
+def test_version_and_help_exit_0(capsys):
+    for argv in (["--version"], ["--help"], ["integrate", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--grid-step" in out and "--seed" not in out
+
+
+def test_folded_gauss_angle_map_exit_3(hopf_csv, capsys):
+    # r1 = 1 at the equator is the matrix pole -d/c
+    assert run(["transform", "--input", hopf_csv[0], "--matrix", "[1,0,-1,1]"]) == 3
+    assert "folds" in capsys.readouterr().err
+
+
+def test_write_to_a_missing_directory_names_the_target(tmp_path, capsys):
+    target = os.path.join(tmp_path, "missing", "r.json")
+    assert run(["parse", "--relation", "r2 = 2*r1", "--output", target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and target in err and ".tmp" not in err

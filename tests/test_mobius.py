@@ -269,6 +269,12 @@ class TestInducedSurface:
         M = MoebiusElement(1.0, 0.5, 0.0, 1.0)
         assert induced_surface(M, prof).profile.relation == transform_relation(M, rel)
 
+    def test_folded_gauss_angle_map_is_an_empty_domain(self):
+        # the pole -d/c = 1 is r1 at the equator, where theta~(theta) turns back
+        prof = integrate_cm(parse_relation("r2 = 2*r1"), math.pi / 2.0, 1.0, (1e-3, 3.14))
+        with pytest.raises(EmptyDomainError, match="folds"):
+            induced_surface(MoebiusElement(1.0, 0.0, -1.0, 1.0), prof)
+
 
 @pytest.fixture(scope="module")
 def explicit_source():

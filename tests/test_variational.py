@@ -1,10 +1,13 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from weingarten import (
@@ -636,6 +639,20 @@ class TestNumericJ:
             m.J(-1.0)
         assert math.isfinite(m.J(5.0))
 
+    def test_reach_extends_to_the_domain_edge(self):
+        # F is defined down to r1 = 0; the panels reach it and stay exact close to it
+        m = Multiplier(parse_relation("r2 = 2*r1 + 1 + sqrt(r1)"), 10.0, interval=(-5.0, 40.0))
+        u = np.array([0.5, 0.1, 0.05, 1e-3, 1e-6])
+        assert m.defined(0.05) and np.all(m.defined(u))
+        for x, got in zip(u, m.J(u)):
+            want = quad(lambda v: 1.0 / (v - (2.0 * v + 1.0 + math.sqrt(v))), 10.0, x,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert abs(got - want) <= 1e-12 * abs(want)
+        below = np.array([-5e-13, -1e-6, -1.0])
+        assert not np.any(m.defined(below))
+        with pytest.raises(SingularMultiplierError):
+            m.J(below)
+
 
 def _off_trajectory_states(m, n, rng):
     """n states with r1 inside the multiplier interval, off the equator."""
@@ -708,3 +725,24 @@ class TestArrayQ:
                 singles.append(math.nan)
         # the batch split into one run per member
         np.testing.assert_array_equal(got, singles)
+
+    def test_non_finite_theta_base_raises_at_once(self):
+        # a run over a NaN span never ends, so the calls run in a child process
+        code = """
+import numpy as np
+from weingarten import LinearHopf, Multiplier, VariationalState, first_integral_Q
+rel, th = LinearHopf(2.0, 0.0), np.linspace(0.4, 1.2, 5)
+for state in (VariationalState(0.4, 0.5, 0.1),
+              VariationalState(th, np.sin(th), 0.1 * np.cos(th))):
+    for theta_base in (float("nan"), float("inf"), -float("inf")):
+        try:
+            first_integral_Q(rel, state, Multiplier(rel, 1.0), theta_base=theta_base)
+        except ValueError as exc:
+            assert "theta_base" in str(exc), exc
+        else:
+            raise AssertionError(theta_base)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
